@@ -17,157 +17,47 @@
 //!    the same guarded workload against in-process shards vs. a
 //!    `fact-shardd` worker over a Unix socket.
 
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::process::Child;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::header;
-use fact_data::Matrix;
-use fact_ml::Classifier;
+use bench::shardd::{
+    drive, lending_request, remote_client, spawn_worker, MeanScorer, WorkerDirs, N_FEATURES,
+};
 use fact_net::RemoteShard;
 use fact_serve::audit_sink::{verify_all_segments, AuditStorage, FileStorage};
-use fact_serve::{
-    load_checkpoint, DecisionRequest, DecisionService, DegradePolicy, GuardConfig, ServeConfig,
-    ShardSlot,
-};
+use fact_serve::{load_checkpoint, DecisionService, DegradePolicy, GuardConfig, ServeConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-const N_FEATURES: usize = 4;
 const WORKER_SHARDS: usize = 2;
 const CHECKPOINT_EVERY: u64 = 200;
 const DP_INTERVAL: usize = 100;
 const FAIRNESS_WINDOW: usize = 800;
 
-/// Same deterministic model `fact-shardd` hosts (probability = mean of the
-/// feature vector) so the local and remote columns score identical work.
-struct MeanScorer;
-
-impl Classifier for MeanScorer {
-    fn predict_proba(&self, x: &Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mean = row.iter().sum::<f64>() / row.len().max(1) as f64;
-                mean.clamp(0.0, 1.0)
-            })
-            .collect())
-    }
-}
-
-/// A disparate lending request: group B (30% of traffic) scores low, so
-/// the fairness monitor trips and flagged decisions flow to the audit log.
-fn lending_request(rng: &mut StdRng, key: u64) -> DecisionRequest {
-    let group_b = rng.gen_bool(0.3);
-    let center = if group_b { 0.30 } else { 0.70 };
-    let features: Vec<f64> = (0..N_FEATURES)
-        .map(|_| (center + rng.gen_range(-0.15f64..0.15)).clamp(0.0, 1.0))
-        .collect();
-    DecisionRequest {
-        features,
-        group_b,
-        route_key: key,
-        tenant: 0,
-    }
-}
-
-struct WorkerDirs {
-    root: PathBuf,
-    socket: PathBuf,
-    checkpoints: PathBuf,
-    audit: PathBuf,
-}
-
-impl WorkerDirs {
-    fn new(tag: &str) -> WorkerDirs {
-        let root = std::env::temp_dir().join(format!("fact-e16-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).expect("create experiment dir");
-        WorkerDirs {
-            socket: root.join("shardd.sock"),
-            checkpoints: root.join("checkpoints"),
-            audit: root.join("audit.jsonl"),
-            root,
-        }
-    }
-}
-
-impl Drop for WorkerDirs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-fn shardd_path() -> PathBuf {
-    let me = std::env::current_exe().expect("current_exe");
-    let path = me.parent().expect("bin dir").join("fact-shardd");
-    assert!(
-        path.exists(),
-        "fact-shardd not found at {} — build it first (cargo build --release --bin fact-shardd)",
-        path.display()
-    );
-    path
-}
-
-fn spawn_worker(dirs: &WorkerDirs, with_audit: bool) -> Child {
-    let mut cmd = Command::new(shardd_path());
-    cmd.arg("--socket")
-        .arg(&dirs.socket)
-        .arg("--checkpoint-dir")
-        .arg(&dirs.checkpoints)
-        .args(["--shards", &WORKER_SHARDS.to_string()])
-        .args(["--n-features", &N_FEATURES.to_string()])
-        .args(["--checkpoint-every", &CHECKPOINT_EVERY.to_string()])
-        .args(["--dp-interval", &DP_INTERVAL.to_string()])
-        .args(["--fairness-window", &FAIRNESS_WINDOW.to_string()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
+/// Spawn a worker on `dirs` with the experiment's guard cadence; the audit
+/// log is on when `with_audit`.
+fn spawn_guarded_worker(dirs: &WorkerDirs, with_audit: bool) -> Child {
+    let shards = WORKER_SHARDS.to_string();
+    let every = CHECKPOINT_EVERY.to_string();
+    let dp = DP_INTERVAL.to_string();
+    let window = FAIRNESS_WINDOW.to_string();
+    let mut flags = vec![
+        "--shards",
+        &shards,
+        "--checkpoint-every",
+        &every,
+        "--dp-interval",
+        &dp,
+        "--fairness-window",
+        &window,
+    ];
     if with_audit {
-        cmd.arg("--audit").arg(&dirs.audit);
+        flags.extend(["--audit", dirs.audit_arg()]);
     }
-    let child = cmd.spawn().expect("spawn fact-shardd");
-    wait_listening(&dirs.socket);
-    child
-}
-
-/// Block until the worker accepts connections (bounded).
-fn wait_listening(socket: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match RemoteShard::connect(socket) {
-            Ok(_) => return,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => panic!("worker never came up on {}: {e}", socket.display()),
-        }
-    }
-}
-
-fn remote_client(socket: &Path) -> DecisionService {
-    DecisionService::start(
-        Arc::new(MeanScorer),
-        ServeConfig {
-            shards: 1,
-            n_features: N_FEATURES,
-            guards: None,
-            topology: Some(vec![ShardSlot::Remote(socket.to_path_buf())]),
-            default_timeout: Duration::from_secs(10),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("start remote client")
-}
-
-/// Drive `n` requests; returns how many were served (errors tolerated —
-/// under a kill some in-flight requests die with the worker).
-fn drive(client: &DecisionService, rng: &mut StdRng, n: u64, key_base: u64) -> u64 {
-    let mut served = 0;
-    for i in 0..n {
-        if client.decide(lending_request(rng, key_base + i)).is_ok() {
-            served += 1;
-        }
-    }
-    served
+    spawn_worker(dirs, &flags)
 }
 
 fn checkpoint_totals(dir: &Path) -> (u64, usize, f64) {
@@ -186,11 +76,11 @@ fn checkpoint_totals(dir: &Path) -> (u64, usize, f64) {
 
 fn kill_restart_phase(n_load: u64, n_resume: u64) {
     println!("## E16a: kill-and-restart a remote shard worker under load\n");
-    let dirs = WorkerDirs::new("recovery");
+    let dirs = WorkerDirs::new("e16", "recovery");
     let mut rng = StdRng::seed_from_u64(16);
 
     // --- run 1: load, then SIGKILL mid-flight ---------------------------
-    let mut worker = spawn_worker(&dirs, true);
+    let mut worker = spawn_guarded_worker(&dirs, true);
     let client = remote_client(&dirs.socket);
     let served1 = drive(&client, &mut rng, n_load, 0);
     assert_eq!(served1, n_load, "healthy worker must serve everything");
@@ -217,7 +107,7 @@ fn kill_restart_phase(n_load: u64, n_resume: u64) {
     assert!(dead.is_err(), "decisions against a dead worker must fail");
 
     // --- run 2: respawn over the same sidecars, resume, drain cleanly ---
-    let mut worker = spawn_worker(&dirs, true);
+    let mut worker = spawn_guarded_worker(&dirs, true);
     let served2 = drive(&client, &mut rng, n_resume, n_load);
     assert_eq!(served2, n_resume, "respawned worker must serve everything");
     let reconnects = client.remote_stats()[0].reconnects;
@@ -339,8 +229,8 @@ fn comparison_phase(total: u64) {
     let local_m = measure(&local, total, 4, 7);
     let _ = local.shutdown();
 
-    let dirs = WorkerDirs::new("compare");
-    let mut worker = spawn_worker(&dirs, false);
+    let dirs = WorkerDirs::new("e16", "compare");
+    let mut worker = spawn_guarded_worker(&dirs, false);
     let remote = remote_client(&dirs.socket);
     let remote_m = measure(&remote, total, 4, 7);
     let rtt = remote.remote_stats()[0].rtt_mean_micros;

@@ -24,12 +24,11 @@
 //! `--smoke` runs shorter sweeps of all three phases with the same hard
 //! asserts (the CI gate).
 
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::shardd::{spawn_worker, WorkerDirs, N_FEATURES};
 use fact_data::Matrix;
 use fact_ml::Classifier;
 use fact_net::RemoteShard;
@@ -38,7 +37,6 @@ use fact_serve::{
     ShardSlot,
 };
 
-const N_FEATURES: usize = 4;
 const TARGET_P99: Duration = Duration::from_millis(25);
 const SERVICE_TIME: Duration = Duration::from_millis(1);
 const QUEUE_CAP: usize = 512;
@@ -291,55 +289,24 @@ fn isolation_phase(flood_rate: f64, quiet_total: u64) {
 
 // ---- Phase C: the same quota contract across a real fact-shardd ----
 
-fn shardd_path() -> PathBuf {
-    let me = std::env::current_exe().expect("current_exe");
-    let path = me.parent().expect("bin dir").join("fact-shardd");
-    assert!(
-        path.exists(),
-        "fact-shardd not found at {} — build it first (cargo build --bin fact-shardd)",
-        path.display()
-    );
-    path
-}
-
-fn wait_listening(socket: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match RemoteShard::connect(socket) {
-            Ok(_) => return,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => panic!("worker never came up on {}: {e}", socket.display()),
-        }
-    }
-}
-
-fn spawn_worker(root: &Path, socket: &Path) -> Child {
-    let child = Command::new(shardd_path())
-        .arg("--socket")
-        .arg(socket)
-        .arg("--checkpoint-dir")
-        .arg(root.join("checkpoints"))
-        .args(["--shards", "4"])
-        .args(["--n-features", &N_FEATURES.to_string()])
-        .args(["--queue-cap", "256"])
-        .args(["--target-p99-us", "25000"])
-        .args(["--tenant-rate", "1"])
-        .args(["--tenant-burst", "8"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn fact-shardd");
-    wait_listening(socket);
-    child
-}
-
 fn remote_phase() {
     println!("## E18c: typed throttling across a real fact-shardd worker\n");
-    let root = std::env::temp_dir().join(format!("fact-e18-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("experiment dir");
-    let socket = root.join("shardd.sock");
-    let mut worker = spawn_worker(&root, &socket);
+    let dirs = WorkerDirs::new("e18", "remote");
+    let mut worker = spawn_worker(
+        &dirs,
+        &[
+            "--shards",
+            "4",
+            "--queue-cap",
+            "256",
+            "--target-p99-us",
+            "25000",
+            "--tenant-rate",
+            "1",
+            "--tenant-burst",
+            "8",
+        ],
+    );
 
     let client = DecisionService::start(
         Arc::new(SlowModel),
@@ -347,7 +314,7 @@ fn remote_phase() {
             shards: 4,
             n_features: N_FEATURES,
             guards: None,
-            topology: Some(vec![ShardSlot::Remote(socket.clone()); 4]),
+            topology: Some(vec![ShardSlot::Remote(dirs.socket.clone()); 4]),
             default_timeout: Duration::from_secs(10),
             ..ServeConfig::default()
         },
@@ -389,11 +356,10 @@ fn remote_phase() {
     );
     client.shutdown();
 
-    let control = RemoteShard::connect(&socket).expect("control connection");
+    let control = RemoteShard::connect(&dirs.socket).expect("control connection");
     let _ = control.control("shutdown", Duration::from_secs(5));
     let status = worker.wait().expect("worker exit");
     assert!(status.success(), "graceful shutdown must exit 0: {status}");
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 fn main() {

@@ -14,8 +14,8 @@
 //!    to the pre-merge sum, and lifetime decision counts conserve
 //!    exactly; the final sidecars account for every decision served.
 //! 3. **Audit-chain continuity** — the hash-chained audit log verifies
-//!    segment-by-segment and `continuous` across both cutovers (the new
-//!    epoch's sink resumes the old epoch's chain).
+//!    segment-by-segment and `continuous` across both cutovers (the
+//!    service's one audit sink lives through every cutover).
 //!
 //! `--smoke` runs the in-process phase only (the CI gate). The full run
 //! adds the wire phase: the same 4→8→3 schedule driven through a real
@@ -23,87 +23,28 @@
 //! frames, proving the cutover holds across the socket too.
 
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fact_data::Matrix;
-use fact_ml::Classifier;
+use bench::shardd::{lending_request, shardd_path, MeanScorer, WorkerDirs, N_FEATURES};
 use fact_net::RemoteShard;
 use fact_serve::audit_sink::{verify_all_segments, AuditStorage, FileStorage};
 use fact_serve::{
-    load_checkpoint, AuditSinkConfig, CheckpointConfig, DecisionRequest, DecisionService,
-    DegradePolicy, GuardConfig, ReshardConfig, ReshardableService, ServeConfig, ShardSlot,
+    load_checkpoint, AuditSinkConfig, CheckpointConfig, DecisionService, DegradePolicy,
+    GuardConfig, ServeConfig, ShardSlot,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-const N_FEATURES: usize = 4;
 const CHECKPOINT_EVERY: u64 = 200;
 const DP_INTERVAL: usize = 100;
 const FAIRNESS_WINDOW: usize = 800;
 /// The reshard schedule both phases run: grow, then shrink below start.
 const SCHEDULE: [usize; 2] = [8, 3];
 const START_SHARDS: usize = 4;
-
-/// Same deterministic model `fact-shardd` hosts (probability = mean of the
-/// feature vector) so both phases score identical work.
-struct MeanScorer;
-
-impl Classifier for MeanScorer {
-    fn predict_proba(&self, x: &Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mean = row.iter().sum::<f64>() / row.len().max(1) as f64;
-                mean.clamp(0.0, 1.0)
-            })
-            .collect())
-    }
-}
-
-/// A disparate lending request: group B (30% of traffic) scores low, so
-/// the fairness monitor trips and flagged decisions flow to the audit log.
-fn lending_request(rng: &mut StdRng, key: u64) -> DecisionRequest {
-    let group_b = rng.gen_bool(0.3);
-    let center = if group_b { 0.30 } else { 0.70 };
-    let features: Vec<f64> = (0..N_FEATURES)
-        .map(|_| (center + rng.gen_range(-0.15f64..0.15)).clamp(0.0, 1.0))
-        .collect();
-    DecisionRequest {
-        features,
-        group_b,
-        route_key: key,
-        tenant: 0,
-    }
-}
-
-struct Dirs {
-    root: PathBuf,
-    checkpoints: PathBuf,
-    audit: PathBuf,
-}
-
-impl Dirs {
-    fn new(tag: &str) -> Dirs {
-        let root = std::env::temp_dir().join(format!("fact-e19-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).expect("create experiment dir");
-        Dirs {
-            checkpoints: root.join("checkpoints"),
-            audit: root.join("audit.jsonl"),
-            root,
-        }
-    }
-}
-
-impl Drop for Dirs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
 
 fn verify_audit_chain(audit: &Path) -> (usize, u64) {
     let mut storage = FileStorage::open(audit).expect("open audit log");
@@ -143,8 +84,8 @@ fn sidecar_decisions(dir: &Path, shards: usize) -> u64 {
 
 fn local_phase(per_epoch: u64) {
     println!("## E19a: in-process 4 -> 8 -> 3 under sustained load\n");
-    let dirs = Dirs::new("local");
-    let service = ReshardableService::start(
+    let dirs = WorkerDirs::new("e19", "local");
+    let service = DecisionService::start(
         Arc::new(MeanScorer),
         ServeConfig {
             shards: START_SHARDS,
@@ -165,15 +106,13 @@ fn local_phase(per_epoch: u64) {
                 ..AuditSinkConfig::default()
             }),
             default_timeout: Duration::from_secs(30),
-            ..ServeConfig::default()
-        },
-        ReshardConfig {
             // generous: the point of this phase is zero refusals, so the
             // hold window must dominate any cutover on a loaded box
-            hold_max: Duration::from_secs(120),
+            reshard_hold: Duration::from_secs(120),
+            ..ServeConfig::default()
         },
     )
-    .expect("start reshardable service");
+    .expect("start service");
 
     let stop = Arc::new(AtomicBool::new(false));
     let issued = Arc::new(AtomicU64::new(0));
@@ -239,17 +178,19 @@ fn local_phase(per_epoch: u64) {
     for d in drivers {
         d.join().expect("driver panicked — a decision was lost");
     }
-    let epochs = service.shutdown();
+    let report = service.shutdown();
 
     let issued = issued.load(Ordering::Relaxed);
     let served = served.load(Ordering::Relaxed);
-    let epoch_sum: u64 = epochs.iter().map(|e| e.decisions_served).sum();
     assert_eq!(issued, served, "zero lost decisions (caller side)");
-    assert_eq!(epoch_sum, served, "zero lost decisions (epoch accounting)");
     assert_eq!(
-        epochs.len(),
-        SCHEDULE.len() + 1,
-        "one report per topology epoch"
+        report.decisions_served, served,
+        "zero lost decisions (lifetime accounting)"
+    );
+    assert_eq!(
+        report.reshards,
+        SCHEDULE.len() as u64,
+        "one lifetime report covering every cutover"
     );
     let final_sidecars = sidecar_decisions(&dirs.checkpoints, SCHEDULE[SCHEDULE.len() - 1]);
     assert_eq!(
@@ -260,7 +201,7 @@ fn local_phase(per_epoch: u64) {
     assert!(entries > 0, "disparate traffic must have flagged decisions");
 
     println!("\ndecisions issued = served     : {served}");
-    println!("epoch reports                 : {}", epochs.len());
+    println!("reshards in lifetime report   : {}", report.reshards);
     println!("final sidecar decision total  : {final_sidecars}");
     println!("audit segments verified       : {segments} ({entries} entries, continuous)");
     println!("\nPASS: 4 -> 8 -> 3 with zero lost decisions, conserved windows, continuous audit\n");
@@ -270,20 +211,9 @@ fn local_phase(per_epoch: u64) {
 // Phase B: the same schedule over TCP against a real fact-shardd
 // ---------------------------------------------------------------------------
 
-fn shardd_path() -> PathBuf {
-    let me = std::env::current_exe().expect("current_exe");
-    let path = me.parent().expect("bin dir").join("fact-shardd");
-    assert!(
-        path.exists(),
-        "fact-shardd not found at {} — build it first (cargo build --release --bin fact-shardd)",
-        path.display()
-    );
-    path
-}
-
 /// Spawn a worker on an ephemeral TCP port; parse the resolved address
 /// from its startup banner.
-fn spawn_tcp_worker(dirs: &Dirs) -> (Child, String) {
+fn spawn_tcp_worker(dirs: &WorkerDirs) -> (Child, String) {
     let mut child = Command::new(shardd_path())
         .args(["--tcp", "127.0.0.1:0"])
         .arg("--checkpoint-dir")
@@ -323,7 +253,7 @@ fn spawn_tcp_worker(dirs: &Dirs) -> (Child, String) {
 
 fn wire_phase(per_epoch: u64) {
     println!("## E19b: the same schedule over TCP via reshard control frames\n");
-    let dirs = Dirs::new("wire");
+    let dirs = WorkerDirs::new("e19", "wire");
     let (mut worker, addr) = spawn_tcp_worker(&dirs);
     println!("worker listening on tcp:{addr}");
 

@@ -27,25 +27,22 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bench::header;
-use fact_data::Matrix;
-use fact_ml::Classifier;
+use bench::shardd::{drive, remote_client, spawn_worker, WorkerDirs};
 use fact_net::RemoteShard;
 use fact_serve::audit_sink::{parse_log, recover};
 use fact_serve::{
     decode_archive, read_segment_or_archive, verify_all_segments, ArchiveConfig, AuditEvent,
-    AuditSink, AuditSinkConfig, AuditStorage, DecisionRequest, DecisionService, FileStorage,
-    ServeConfig, ShardSlot,
+    AuditSink, AuditSinkConfig, AuditStorage, FileStorage,
 };
 use fact_transparency::{verify_chain_from, ChainHead};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-const N_FEATURES: usize = 4;
 const WORKER_SHARDS: usize = 2;
 
 /// Absolute slack (µs) added to the 5% bound. On a single-core runner over
@@ -298,137 +295,32 @@ fn hot_path_phase(events: u64, seg_bytes: u64, trials: usize) {
 // Phase B: SIGKILL a compacting fact-shardd, recover offline, resume
 // ---------------------------------------------------------------------------
 
-/// Same deterministic model `fact-shardd` hosts (probability = mean of the
-/// feature vector) so the driver scores the work the worker audits.
-struct MeanScorer;
-
-impl Classifier for MeanScorer {
-    fn predict_proba(&self, x: &Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mean = row.iter().sum::<f64>() / row.len().max(1) as f64;
-                mean.clamp(0.0, 1.0)
-            })
-            .collect())
-    }
-}
-
-/// A disparate lending request: group B (30% of traffic) scores low, so
-/// the fairness monitor trips and flagged decisions flow to the audit log.
-fn lending_request(rng: &mut StdRng, key: u64) -> DecisionRequest {
-    let group_b = rng.gen_bool(0.3);
-    let center = if group_b { 0.30 } else { 0.70 };
-    let features: Vec<f64> = (0..N_FEATURES)
-        .map(|_| (center + rng.gen_range(-0.15f64..0.15)).clamp(0.0, 1.0))
-        .collect();
-    DecisionRequest {
-        features,
-        group_b,
-        route_key: key,
-        tenant: 0,
-    }
-}
-
-struct WorkerDirs {
-    root: PathBuf,
-    socket: PathBuf,
-    checkpoints: PathBuf,
-    audit: PathBuf,
-}
-
-impl WorkerDirs {
-    fn new(tag: &str) -> WorkerDirs {
-        let root = std::env::temp_dir().join(format!("fact-e20-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).expect("create experiment dir");
-        WorkerDirs {
-            socket: root.join("shardd.sock"),
-            checkpoints: root.join("checkpoints"),
-            audit: root.join("audit.jsonl"),
-            root,
-        }
-    }
-}
-
-impl Drop for WorkerDirs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-fn shardd_path() -> PathBuf {
-    let me = std::env::current_exe().expect("current_exe");
-    let path = me.parent().expect("bin dir").join("fact-shardd");
-    assert!(
-        path.exists(),
-        "fact-shardd not found at {} — build it first (cargo build --release --bin fact-shardd)",
-        path.display()
-    );
-    path
-}
-
 /// Spawn a worker that rotates its audit log every 4 KiB and compacts all
 /// but the newest sealed segment on a 25 ms tick — aggressive enough that
 /// a SIGKILL lands while segments are mid-flight through the archiver.
-fn spawn_worker(dirs: &WorkerDirs) -> Child {
-    let mut cmd = Command::new(shardd_path());
-    cmd.arg("--socket")
-        .arg(&dirs.socket)
-        .arg("--checkpoint-dir")
-        .arg(&dirs.checkpoints)
-        .args(["--shards", &WORKER_SHARDS.to_string()])
-        .args(["--n-features", &N_FEATURES.to_string()])
-        .args(["--checkpoint-every", "200"])
-        .args(["--dp-interval", "100"])
-        .args(["--fairness-window", "800"])
-        .arg("--audit")
-        .arg(&dirs.audit)
-        .args(["--audit-segment-bytes", "4096"])
-        .args(["--archive-retain", "1"])
-        .args(["--archive-tick-ms", "25"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    let child = cmd.spawn().expect("spawn fact-shardd");
-    wait_listening(&dirs.socket);
-    child
-}
-
-/// Block until the worker accepts connections (bounded).
-fn wait_listening(socket: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match RemoteShard::connect(socket) {
-            Ok(_) => return,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => panic!("worker never came up on {}: {e}", socket.display()),
-        }
-    }
-}
-
-fn remote_client(socket: &Path) -> DecisionService {
-    DecisionService::start(
-        Arc::new(MeanScorer),
-        ServeConfig {
-            shards: 1,
-            n_features: N_FEATURES,
-            guards: None,
-            topology: Some(vec![ShardSlot::Remote(socket.to_path_buf())]),
-            default_timeout: Duration::from_secs(10),
-            ..ServeConfig::default()
-        },
+fn spawn_archiving_worker(dirs: &WorkerDirs) -> Child {
+    let shards = WORKER_SHARDS.to_string();
+    spawn_worker(
+        dirs,
+        &[
+            "--shards",
+            &shards,
+            "--checkpoint-every",
+            "200",
+            "--dp-interval",
+            "100",
+            "--fairness-window",
+            "800",
+            "--audit",
+            dirs.audit_arg(),
+            "--audit-segment-bytes",
+            "4096",
+            "--archive-retain",
+            "1",
+            "--archive-tick-ms",
+            "25",
+        ],
     )
-    .expect("start remote client")
-}
-
-fn drive(client: &DecisionService, rng: &mut StdRng, n: u64, key_base: u64) -> u64 {
-    let mut served = 0;
-    for i in 0..n {
-        if client.decide(lending_request(rng, key_base + i)).is_ok() {
-            served += 1;
-        }
-    }
-    served
 }
 
 struct StoreState {
@@ -503,11 +395,11 @@ fn inspect_store(audit: &Path, label: &str) -> StoreState {
 
 fn crash_phase(n_load: u64, n_resume: u64) {
     println!("## E20b: SIGKILL a fact-shardd mid-compaction, recover, resume\n");
-    let dirs = WorkerDirs::new("crash");
+    let dirs = WorkerDirs::new("e20", "crash");
     let mut rng = StdRng::seed_from_u64(20);
 
     // --- run 1: rotate + compact under load, then SIGKILL ---------------
-    let mut worker = spawn_worker(&dirs);
+    let mut worker = spawn_archiving_worker(&dirs);
     let client = remote_client(&dirs.socket);
     let served1 = drive(&client, &mut rng, n_load, 0);
     assert_eq!(served1, n_load, "healthy worker must serve everything");
@@ -529,7 +421,7 @@ fn crash_phase(n_load: u64, n_resume: u64) {
     assert!(after_kill.entries > 0, "flagged traffic must be on disk");
 
     // --- run 2: respawn over the compacted store, drain gracefully ------
-    let mut worker = spawn_worker(&dirs);
+    let mut worker = spawn_archiving_worker(&dirs);
     let served2 = drive(&client, &mut rng, n_resume, n_load);
     assert_eq!(served2, n_resume, "respawned worker must serve everything");
     let control = RemoteShard::connect(&dirs.socket).expect("control connection");

@@ -3,7 +3,10 @@
 //!
 //! Each binary regenerates one experiment from EXPERIMENTS.md (the
 //! evaluation section this vision paper does not have — see DESIGN.md).
-//! The helpers here keep table formatting consistent across experiments.
+//! The helpers here keep table formatting consistent across experiments;
+//! [`shardd`] is the harness the cross-process experiments share.
+
+pub mod shardd;
 
 /// Print a table header row followed by a separator line sized to it.
 pub fn header(columns: &[&str], widths: &[usize]) {

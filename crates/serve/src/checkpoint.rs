@@ -15,13 +15,19 @@
 //! Files are one JSON document per shard, `shard-N.json`, written
 //! tmp + rename + fsync so a crash mid-write leaves the previous
 //! checkpoint intact rather than a torn one.
+//!
+//! [`transform_checkpoints`] rewrites a directory of sidecars from N
+//! shards to M, conserving every count; it is the state transform behind
+//! a live reshard and can also run offline between process generations.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use fact_fairness::WindowSummary;
+use fact_fairness::{SegmentCounts, WindowSummary};
 use serde::{Deserialize, Serialize};
+
+use crate::service::ServeError;
 
 /// When and where guard state is checkpointed.
 #[derive(Debug, Clone)]
@@ -122,6 +128,168 @@ pub fn load_checkpoint(dir: &Path, shard: usize) -> io::Result<Option<GuardCheck
     serde_json::from_str(&json)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// What [`transform_checkpoints`] conserved, for callers that run the
+/// transform directly (e.g. offline, between process generations).
+#[derive(Debug, Clone)]
+pub struct TransformReport {
+    /// Summed window counts before the merge.
+    pub pre_counts: SegmentCounts,
+    /// Summed window counts after the split; equals `pre_counts`.
+    pub post_counts: SegmentCounts,
+    /// Summed lifetime decisions before.
+    pub pre_decisions: u64,
+    /// Summed lifetime decisions after; equals `pre_decisions`.
+    pub post_decisions: u64,
+    /// ε-ledger entries redistributed.
+    pub ledger_entries: u64,
+}
+
+/// Rewrite the `shard-N.json` sidecars under `dir` from `from` shards to
+/// `to` shards, conserving every count. This is the pure state transform
+/// behind [`DecisionService::reshard`](crate::DecisionService::reshard);
+/// it can also run offline between process generations (drain the old
+/// fleet, transform, start the new one).
+///
+/// * Fairness windows are folded with [`WindowSummary::merge_all`] and
+///   fanned out with [`WindowSummary::split`]; the summed segment counts
+///   are bit-equal before and after (both are returned).
+/// * ε-ledger entries are dealt round-robin (entry *j* → successor
+///   `j % to`), so every recorded expenditure is replayed exactly once.
+///   If any successor's total ε would exceed the checkpointed budget, the
+///   transform fails **before writing anything** — conservation over
+///   silent loss.
+/// * Lifetime decision and DP-pending counts sum-then-split with the
+///   remainder dealt to the first successors; `dp_exhausted` is OR-folded
+///   (an exhausted budget anywhere stays exhausted everywhere).
+/// * When shrinking, stale `shard-j.json` files for `j >= to` are removed
+///   so a later grow cannot resurrect pre-transform state.
+///
+/// Sidecars may be missing (a shard that never served still drains
+/// cleanly); at least one must exist or there is nothing to transform.
+pub fn transform_checkpoints(
+    dir: &std::path::Path,
+    from: usize,
+    to: usize,
+) -> Result<TransformReport, ServeError> {
+    if from == 0 || to == 0 {
+        return Err(ServeError::BadRequest(
+            "transform needs from > 0 and to > 0".into(),
+        ));
+    }
+    let mut checkpoints: Vec<GuardCheckpoint> = Vec::new();
+    for shard in 0..from {
+        match load_checkpoint(dir, shard) {
+            Ok(Some(ck)) => checkpoints.push(ck),
+            Ok(None) => {}
+            Err(e) => {
+                return Err(ServeError::Internal(format!(
+                    "sidecar for shard {shard} is unreadable: {e}"
+                )))
+            }
+        }
+    }
+    let Some(first) = checkpoints.first() else {
+        return Err(ServeError::Internal(format!(
+            "no sidecars found under {} — nothing to transform",
+            dir.display()
+        )));
+    };
+    let budget_epsilon = first.budget_epsilon;
+    let budget_delta = first.budget_delta;
+
+    // Fold the windows and account for what went in.
+    let mut pre_counts: SegmentCounts = [[0; 2]; 2];
+    let mut pre_decisions = 0u64;
+    let mut dp_pending_total = 0u64;
+    let mut dp_exhausted = false;
+    for ck in &checkpoints {
+        let c = ck.window.counts();
+        for g in 0..2 {
+            for f in 0..2 {
+                pre_counts[g][f] += c[g][f];
+            }
+        }
+        pre_decisions += ck.decisions;
+        dp_pending_total += ck.dp_pending;
+        dp_exhausted |= ck.dp_exhausted;
+    }
+    let merged = WindowSummary::merge_all(checkpoints.iter().map(|ck| &ck.window))
+        .map_err(|e| ServeError::Internal(format!("window merge failed: {e}")))?
+        .expect("at least one checkpoint present");
+    let parts = merged
+        .split(to)
+        .map_err(|e| ServeError::Internal(format!("window split failed: {e}")))?;
+
+    // Deal the ledgers round-robin, preserving shard order, and check each
+    // successor against the budget before anything is written.
+    let mut ledgers: Vec<Vec<LedgerEntry>> = vec![Vec::new(); to];
+    let mut ledger_entries = 0u64;
+    for ck in &checkpoints {
+        for entry in &ck.ledger {
+            ledgers[(ledger_entries as usize) % to].push(entry.clone());
+            ledger_entries += 1;
+        }
+    }
+    for (i, ledger) in ledgers.iter().enumerate() {
+        let eps: f64 = ledger.iter().map(|e| e.epsilon).sum();
+        if eps > budget_epsilon {
+            return Err(ServeError::BadRequest(format!(
+                "reshard to {to} shards would replay ε={eps:.4} into successor {i}, \
+                 over its budget {budget_epsilon:.4}; the ledger is conserved, not \
+                 truncated — reshard to more shards or raise the budget"
+            )));
+        }
+    }
+
+    // Sum-then-split the scalar counters, remainder to the first parts.
+    let split_scalar = |total: u64| -> Vec<u64> {
+        let base = total / to as u64;
+        let extra = (total % to as u64) as usize;
+        (0..to).map(|i| base + u64::from(i < extra)).collect()
+    };
+    let decisions_parts = split_scalar(pre_decisions);
+    let dp_pending_parts = split_scalar(dp_pending_total);
+
+    let mut post_counts: SegmentCounts = [[0; 2]; 2];
+    let mut post_decisions = 0u64;
+    for (i, window) in parts.iter().enumerate() {
+        let c = window.counts();
+        for g in 0..2 {
+            for f in 0..2 {
+                post_counts[g][f] += c[g][f];
+            }
+        }
+        post_decisions += decisions_parts[i];
+        let ck = GuardCheckpoint {
+            shard: i as u64,
+            decisions: decisions_parts[i],
+            window: window.clone(),
+            ledger: std::mem::take(&mut ledgers[i]),
+            budget_epsilon,
+            budget_delta,
+            dp_pending: dp_pending_parts[i],
+            dp_exhausted,
+        };
+        write_checkpoint(dir, &ck)
+            .map_err(|e| ServeError::Internal(format!("writing sidecar {i}: {e}")))?;
+    }
+    for stale in to..from {
+        let path = checkpoint_path(dir, stale);
+        if path.exists() {
+            std::fs::remove_file(&path).map_err(|e| {
+                ServeError::Internal(format!("removing stale sidecar {stale}: {e}"))
+            })?;
+        }
+    }
+    Ok(TransformReport {
+        pre_counts,
+        post_counts,
+        pre_decisions,
+        post_decisions,
+        ledger_entries,
+    })
 }
 
 #[cfg(test)]

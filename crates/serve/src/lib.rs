@@ -47,9 +47,18 @@
 //! * **Observability** — a lock-free [`MetricsRegistry`]: relaxed-atomic
 //!   counters, power-of-two latency buckets with p50/p95/p99, per-shard
 //!   queue depth and shed/timeout counts, rendered as text.
+//! * **Live resharding** — [`DecisionService::reshard`] moves a running
+//!   service from N to M shards. Submits that arrive mid-cutover park at
+//!   the gate for up to [`ServeConfig::reshard_hold`]; the old shards
+//!   drain, [`transform_checkpoints`] rewrites their guard-state sidecars
+//!   N→M with the fairness windows and ε ledgers conserved exactly, and
+//!   M new shards restore from them. The audit sink, cache and admission
+//!   controller live through the cutover, so the audit chain never
+//!   breaks.
 //! * **Graceful shutdown** — [`DecisionService::shutdown`] stops admission,
 //!   lets every shard serve what it already accepted, and returns a
-//!   [`ServiceReport`] with decisions served, alerts raised, and ε spent.
+//!   [`ServiceReport`] with decisions served, alerts raised, and ε spent
+//!   over the service's whole life.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -93,7 +102,6 @@ pub mod cache;
 pub mod checkpoint;
 pub mod guards;
 pub mod metrics;
-pub mod reshard;
 pub mod service;
 pub mod source;
 
@@ -109,20 +117,17 @@ pub use audit_sink::{
 };
 pub use cache::{CacheConfig, CachedFeatureSource, Clock, ManualClock, SystemClock};
 pub use checkpoint::{
-    checkpoint_path, load_checkpoint, write_checkpoint, CheckpointConfig, GuardCheckpoint,
-    LedgerEntry,
+    checkpoint_path, load_checkpoint, transform_checkpoints, write_checkpoint, CheckpointConfig,
+    GuardCheckpoint, LedgerEntry, TransformReport,
 };
 pub use guards::{AlertKind, DegradePolicy, GuardConfig, ServiceAlert};
 pub use metrics::{
     AdmissionSnapshot, AdmissionStats, CacheSnapshot, CacheStats, LatencyHistogram,
     MetricsRegistry, MetricsSnapshot, ShardSnapshot, TenantSnapshot,
 };
-pub use reshard::{
-    transform_checkpoints, ReshardConfig, ReshardReport, ReshardableService, TransformReport,
-};
 pub use service::{
     Decision, DecisionHandle, DecisionRequest, DecisionService, NetShardHandler, RemoteShardReport,
-    ServeConfig, ServeError, ServiceReport, ShardReport, ShardSlot,
+    ReshardReport, ServeConfig, ServeError, ServiceReport, ShardReport, ShardSlot,
 };
 pub use source::{FailingFeatureSource, FeatureSource, InlineFeatures, SimulatedRemoteSource};
 

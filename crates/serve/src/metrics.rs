@@ -429,6 +429,17 @@ impl MetricsRegistry {
         }
     }
 
+    /// A fresh registry for a new topology of `shards` shards that keeps
+    /// reporting this one's cache, admission and archive counters (those
+    /// belong to components that outlive a reshard).
+    pub fn successor(&self, shards: usize) -> Self {
+        MetricsRegistry {
+            cache: Arc::clone(&self.cache),
+            admission: Arc::clone(&self.admission),
+            ..Self::with_archive_stats(shards, Arc::clone(&self.archive))
+        }
+    }
+
     /// The counters for one shard.
     pub fn shard(&self, i: usize) -> &ShardMetrics {
         &self.shards[i]

@@ -14,6 +14,35 @@
 //! Shutdown drops the queue senders; workers finish whatever is buffered
 //! (every accepted request is answered), then report their totals, which
 //! are merged into a [`ServiceReport`].
+//!
+//! # Live resharding
+//!
+//! [`DecisionService::reshard`] changes the shard count while serving.
+//! Each shard carries *guard state* (a fairness window, an ε ledger, DP
+//! counters) whose evidence must survive the topology change, or the
+//! guards silently forget what they were watching. The shard senders sit
+//! behind one cutover gate, an `RwLock` that every submit reads once:
+//!
+//! 1. **Close** — the reshard takes the write lock and flips the gate from
+//!    serving to cutover, dropping the senders. A submit that got in
+//!    before the flip is already queued; one that sees the cutover parks
+//!    for up to [`ServeConfig::reshard_hold`].
+//! 2. **Drain** — the old workers answer every accepted request and each
+//!    writes its final [`GuardCheckpoint`](crate::GuardCheckpoint) sidecar.
+//! 3. **Transform** — [`transform_checkpoints`] rewrites the N sidecars
+//!    to M, conserving the fairness-window counts cell for cell, every
+//!    ε-ledger entry and the lifetime decision counts.
+//! 4. **Restart** — M new workers restore from the transformed sidecars
+//!    and the gate reopens; parked submits go into the new topology. Only
+//!    submits still parked past the hold window get
+//!    [`ServeError::Resharding`], a retryable refusal, never a silent
+//!    drop.
+//!
+//! Only the shard workers and their per-shard state are replaced. The
+//! audit sink, the admission controller, the feature cache, the alert
+//! channel and the checkpoint generation live as long as the service, so
+//! the audit chain runs on unbroken through a cutover. The routing hash is
+//! unchanged: requests take `key % M` instead of `key % N`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -23,11 +52,12 @@ use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
     TrySendError,
 };
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fact_core::runtime::Alert;
+use fact_fairness::SegmentCounts;
 use fact_ml::Classifier;
 use fact_net::{
     decode as net_decode, encode as net_encode, CheckpointAckWire, ControlAckWire, ControlWire,
@@ -40,7 +70,9 @@ use crate::audit_sink::{
     AuditEvent, AuditSink, AuditSinkConfig, AuditSinkHandle, AuditStorage, RecoveryReport,
 };
 use crate::cache::{CacheConfig, CachedFeatureSource, SystemClock};
-use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointConfig};
+use crate::checkpoint::{
+    load_checkpoint, transform_checkpoints, write_checkpoint, CheckpointConfig,
+};
 use crate::guards::{AlertHub, AlertKind, DegradePolicy, GuardConfig, ServiceAlert, ShardGuards};
 use crate::metrics::{AdmissionSnapshot, CacheSnapshot, MetricsRegistry, MetricsSnapshot};
 use crate::source::{FeatureSource, InlineFeatures};
@@ -80,7 +112,7 @@ pub enum ServeError {
     /// request was neither enqueued nor served. Retrying after backoff is
     /// safe — requests that arrive during cutover are held and replayed
     /// into the new topology, and only the tail past the hold window sees
-    /// this error (see [`crate::reshard`]).
+    /// this error (see [`DecisionService::reshard`]).
     Resharding,
     /// The model failed on this batch.
     Internal(String),
@@ -171,6 +203,12 @@ pub struct ServeConfig {
     /// per-tenant token quotas layered on the depth gauge (see
     /// [`crate::admission`]). `None` keeps the static `queue_cap` bound.
     pub admission: Option<AdmissionConfig>,
+    /// Longest a submit parks at the cutover gate while a
+    /// [`reshard`](DecisionService::reshard) runs before it is refused
+    /// with [`ServeError::Resharding`]. The bound keeps the gate from
+    /// becoming an unbounded buffer: past it, callers get a typed,
+    /// retryable refusal instead of latency collapse.
+    pub reshard_hold: Duration,
 }
 
 /// Where one shard of the routing space is hosted.
@@ -217,6 +255,7 @@ impl Default for ServeConfig {
             topology: None,
             checkpoint: None,
             admission: None,
+            reshard_hold: Duration::from_secs(5),
         }
     }
 }
@@ -418,7 +457,9 @@ pub struct RemoteShardReport {
     pub rtt_mean_micros: f64,
 }
 
-/// The final accounting returned by [`DecisionService::shutdown`].
+/// The final accounting returned by [`DecisionService::shutdown`]. It
+/// covers the service's whole life: the counters are summed over every
+/// topology it ran, across live reshards.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// Decisions served across all shards.
@@ -435,7 +476,9 @@ pub struct ServiceReport {
     pub flagged: u64,
     /// Alerts forwarded to the global channel.
     pub alerts_raised: u64,
-    /// Total ε spent across shards.
+    /// Total ε in the shards' ledgers at shutdown. The ledgers carry over
+    /// a reshard (and a restart from checkpoints), so this is the lifetime
+    /// spend rather than a sum over topologies.
     pub epsilon_spent: f64,
     /// Audit entries durably written (and fsynced) by the sink this run,
     /// including the sink's own lifecycle markers. Zero when no sink is
@@ -461,8 +504,10 @@ pub struct ServiceReport {
     pub archive: crate::archive::ArchiveSnapshot,
     /// Guard checkpoints durably written across all local shards.
     pub checkpoints_written: u64,
-    /// Per-shard breakdown (local shards only; remote workers keep their
-    /// own reports in their own processes).
+    /// Live reshards completed (see [`DecisionService::reshard`]).
+    pub reshards: u64,
+    /// Per-shard breakdown of the final topology (local shards only;
+    /// remote workers keep their own reports in their own processes).
     pub shards: Vec<ShardReport>,
     /// Client-side transport stats for each remote shard slot. Shutting
     /// down this service does *not* stop the remote workers — their
@@ -545,6 +590,37 @@ impl ServiceReport {
     }
 }
 
+/// What one completed [`DecisionService::reshard`] did, with enough
+/// numbers to *prove* nothing was lost in the transform.
+#[derive(Debug, Clone)]
+pub struct ReshardReport {
+    /// Shard count before the cutover.
+    pub from: usize,
+    /// Shard count after the cutover.
+    pub to: usize,
+    /// Fairness-window counts summed over every pre-cutover sidecar.
+    /// Conservation means this equals [`post_counts`](Self::post_counts)
+    /// cell for cell.
+    pub pre_counts: SegmentCounts,
+    /// Fairness-window counts summed over every post-transform sidecar.
+    pub post_counts: SegmentCounts,
+    /// Lifetime decision counts summed over the pre-cutover sidecars.
+    pub pre_decisions: u64,
+    /// Lifetime decision counts summed over the post-transform sidecars;
+    /// equals [`pre_decisions`](Self::pre_decisions).
+    pub post_decisions: u64,
+    /// ε-ledger entries redistributed across the successors.
+    pub ledger_entries: u64,
+    /// Submits that parked at the gate during this cutover and were
+    /// replayed into the new topology (tail past the hold window is
+    /// refused, not counted here).
+    pub held: u64,
+    /// How long the gate stayed closed.
+    pub cutover: Duration,
+    /// Decisions the drained topology served.
+    pub drained: u64,
+}
+
 /// One queued request inside a shard.
 struct Job {
     features: Vec<f64>,
@@ -554,15 +630,101 @@ struct Job {
     reply: Sender<Result<Decision, ServeError>>,
 }
 
-struct Inner {
-    config: ServeConfig,
+/// What a submit finds behind the cutover gate.
+enum Phase {
+    /// The shard queues are open: one sender per slot (a placeholder whose
+    /// receiver is gone for remote slots).
+    Serving(Vec<SyncSender<Job>>),
+    /// A reshard is between drain and restart; submits park for up to
+    /// [`ServeConfig::reshard_hold`].
+    Cutover,
+    /// [`DecisionService::shutdown`] ran (or a failed reshard could not
+    /// restart); submits fail with [`ServeError::ShuttingDown`].
+    Stopped,
+}
+
+/// The cutover gate: the one lock a submit takes. Leaving
+/// [`Phase::Serving`] drops the senders, which is what tells the workers
+/// to drain and exit.
+struct Gate {
+    phase: Phase,
+    /// The counters of the serving topology (the last one, once stopped).
     metrics: Arc<MetricsRegistry>,
-    /// `None` once shutdown has begun: dropping the senders is what tells
-    /// the workers to drain and exit.
-    senders: RwLock<Option<Vec<SyncSender<Job>>>>,
-    workers: Mutex<Vec<JoinHandle<ShardReport>>>,
+    /// Everything the topologies drained by earlier reshards counted.
+    retired: Tally,
+}
+
+/// Service counters summed over drained topologies.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    served: u64,
+    shed: u64,
+    throttled: u64,
+    timed_out: u64,
+    rejected: u64,
+    flagged: u64,
+    alerts: u64,
+    checkpoints: u64,
+    /// ε in the ledgers of the latest topology that had local shards. A
+    /// successor inherits every ledger entry, so this is replaced, not
+    /// summed.
+    epsilon_spent: f64,
+}
+
+impl Tally {
+    /// Fold in one drained topology: its final counters and the reports of
+    /// its joined workers.
+    fn add(&mut self, snap: &MetricsSnapshot, shards: &[ShardReport]) {
+        self.served += snap.served();
+        self.shed += snap.shed();
+        self.throttled += snap.throttled();
+        for s in &snap.shards {
+            self.timed_out += s.timeouts;
+            self.rejected += s.rejected;
+            self.flagged += s.flagged;
+        }
+        self.alerts += snap.alerts;
+        self.checkpoints += shards.iter().map(|s| s.checkpoints).sum::<u64>();
+        if !shards.is_empty() {
+            self.epsilon_spent = shards.iter().map(|s| s.epsilon_spent).sum();
+        }
+    }
+}
+
+/// A started set of shard workers, not yet behind the gate.
+struct Topology {
+    senders: Vec<SyncSender<Job>>,
+    workers: Vec<JoinHandle<ShardReport>>,
+    metrics: Arc<MetricsRegistry>,
+}
+
+/// Lifecycle state. Its lock is held across a whole cutover or shutdown,
+/// so the two never interleave.
+struct Life {
+    /// Worker threads of the serving topology.
+    workers: Vec<JoinHandle<ShardReport>>,
+    /// Reshards completed.
+    reshards: u64,
+    /// The final report, once shut down.
+    report: Option<ServiceReport>,
+}
+
+struct Inner {
+    /// The configuration the service started with; the live shard count
+    /// is the gate's.
+    config: ServeConfig,
+    model: Arc<dyn Classifier + Send + Sync>,
+    /// The source workers fetch through (the cache, when one is on).
+    source: Arc<dyn FeatureSource>,
+    gate: RwLock<Gate>,
+    /// Submits that see a cutover wait on `resumed` under this lock.
+    hold: Mutex<()>,
+    resumed: Condvar,
+    /// Submits that parked at the gate and were then accepted.
+    held_replayed: AtomicU64,
+    life: Mutex<Life>,
+    alert_tx: Sender<ServiceAlert>,
     alert_rx: Mutex<Receiver<ServiceAlert>>,
-    report: Mutex<Option<ServiceReport>>,
     /// The audit sink, finished (drained + stop marker + fsync) at
     /// shutdown, *after* the workers have been joined.
     sink: Mutex<Option<AuditSink>>,
@@ -571,7 +733,8 @@ struct Inner {
     /// The cache decorating the feature source, retained so rollouts can
     /// invalidate it through the service; `None` when caching is off.
     cache: Option<Arc<CachedFeatureSource>>,
-    /// One fact-net client per remote shard slot (`None` for local slots).
+    /// One fact-net client per remote shard slot (`None` for local slots;
+    /// empty when the topology is all local).
     remotes: Vec<Option<Arc<RemoteShard>>>,
     /// Bumped by [`DecisionService::request_checkpoint`]; local workers
     /// compare against it after every batch and flush when it moved.
@@ -579,6 +742,152 @@ struct Inner {
     /// Adaptive admission controller shared by every local shard's submit
     /// path; `None` keeps the static bound.
     admission: Option<Arc<AdmissionController>>,
+}
+
+impl Inner {
+    fn gate(&self) -> std::sync::RwLockReadGuard<'_, Gate> {
+        self.gate.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn gate_mut(&self) -> std::sync::RwLockWriteGuard<'_, Gate> {
+        self.gate.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Start one worker thread per local slot of a topology sized to
+    /// `metrics`, each restored from its guard-state sidecar when one
+    /// exists.
+    fn spawn(&self, metrics: Arc<MetricsRegistry>) -> Result<Topology, ServeError> {
+        let config = &self.config;
+        let shards = metrics.n_shards();
+        let audit = self
+            .sink
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+            .map(AuditSink::handle);
+        let mut senders = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        let started = (0..shards).try_for_each(|shard| {
+            if self.remotes.get(shard).is_some_and(Option::is_some) {
+                // No local worker: a placeholder sender keeps the vec
+                // aligned (its receiver drops here, so a stray send just
+                // reports ShuttingDown rather than wedging).
+                senders.push(sync_channel::<Job>(1).0);
+                return Ok(());
+            }
+            let (tx, rx) = sync_channel::<Job>(config.queue_cap);
+            senders.push(tx);
+            let mut resumed_at = 0;
+            let guards = match &config.guards {
+                Some(g) => {
+                    let mut guards = ShardGuards::new(g, config.seed.wrapping_add(shard as u64))
+                        .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+                    // Resume from the sidecar checkpoint, if one exists: a
+                    // respawned shard keeps its fairness window and ε
+                    // ledger instead of silently resetting them.
+                    if let Some(ck_cfg) = &config.checkpoint {
+                        match load_checkpoint(&ck_cfg.dir, shard) {
+                            Ok(Some(ck)) => {
+                                guards.restore(&ck).map_err(|e| {
+                                    ServeError::Internal(format!(
+                                        "shard {shard} checkpoint restore: {e}"
+                                    ))
+                                })?;
+                                resumed_at = ck.decisions;
+                            }
+                            Ok(None) => {}
+                            Err(e) => {
+                                return Err(ServeError::Internal(format!(
+                                    "shard {shard} checkpoint load: {e}"
+                                )))
+                            }
+                        }
+                    }
+                    Some(guards)
+                }
+                None => None,
+            };
+            let hub = AlertHub::new(
+                shard,
+                self.alert_tx.clone(),
+                Arc::clone(&metrics),
+                config.alert_debounce,
+            );
+            let worker = ShardWorker {
+                shard,
+                rx,
+                model: Arc::clone(&self.model),
+                source: Arc::clone(&self.source),
+                metrics: Arc::clone(&metrics),
+                guards,
+                hub,
+                threshold: config.threshold,
+                batch_max: config.batch_max,
+                batch_linger: config.batch_linger,
+                policy: config.policy,
+                trip_cooldown: config.trip_cooldown,
+                audit: audit.clone(),
+                checkpoint: config.checkpoint.clone(),
+                base_decisions: resumed_at,
+                checkpoint_gen: Arc::clone(&self.checkpoint_gen),
+                admission: self.admission.clone(),
+            };
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("fact-serve-{shard}"))
+                    .spawn(move || worker.run())
+                    .map_err(|e| ServeError::Internal(e.to_string()))?,
+            );
+            Ok(())
+        });
+        if let Err(e) = started {
+            // the workers started so far see their queues close; join them
+            // so none outlives the failed start
+            senders.clear();
+            join_workers(&mut workers);
+            return Err(e);
+        }
+        Ok(Topology {
+            senders,
+            workers,
+            metrics,
+        })
+    }
+
+    /// Put `next` behind the gate, folding the drained topology's counters
+    /// into the lifetime tally.
+    fn install(&self, life: &mut Life, next: Topology, drained: &[ShardReport]) {
+        let mut gate = self.gate_mut();
+        let snap = gate.metrics.snapshot();
+        gate.retired.add(&snap, drained);
+        gate.phase = Phase::Serving(next.senders);
+        gate.metrics = next.metrics;
+        life.workers = next.workers;
+    }
+
+    /// Wake the submits parked at the gate. Taking `hold` first means a
+    /// submit that saw the cutover but has not started waiting yet cannot
+    /// miss the wakeup: it re-reads the gate under the same lock.
+    fn resume_parked(&self) {
+        let _hold = self.hold.lock().unwrap_or_else(|e| e.into_inner());
+        self.resumed.notify_all();
+    }
+}
+
+/// Join a topology's workers (after its senders are gone), shard order.
+fn join_workers(workers: &mut Vec<JoinHandle<ShardReport>>) -> Vec<ShardReport> {
+    let mut shards: Vec<ShardReport> = workers
+        .drain(..)
+        .map(|h| h.join().expect("fact-serve worker panicked"))
+        .collect();
+    shards.sort_by_key(|s| s.shard);
+    shards
+}
+
+fn shard_of(route_key: u64, shards: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    route_key.hash(&mut h);
+    (h.finish() % shards as u64) as usize
 }
 
 /// A cheaply-cloneable handle to the serving fabric. All clones address the
@@ -711,123 +1020,70 @@ impl DecisionService {
             Some(c) => Arc::clone(c) as Arc<dyn FeatureSource>,
             None => source,
         };
-        let checkpoint_gen = Arc::new(AtomicU64::new(0));
+        let remotes = config
+            .topology
+            .iter()
+            .flatten()
+            .enumerate()
+            .map(|(shard, slot)| {
+                slot.endpoint()
+                    .map(|endpoint| {
+                        RemoteShard::connect_endpoint(endpoint.clone())
+                            .map(Arc::new)
+                            .map_err(|e| {
+                                ServeError::Remote(format!("shard {shard} at {endpoint}: {e}"))
+                            })
+                    })
+                    .transpose()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let (alert_tx, alert_rx) = channel();
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        let mut remotes: Vec<Option<Arc<RemoteShard>>> = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let slot = config
-                .topology
-                .as_ref()
-                .map_or(&ShardSlot::Local, |t| &t[shard]);
-            if let Some(endpoint) = slot.endpoint() {
-                // No local worker: a dummy sender keeps the vec aligned
-                // (its receiver drops here, so a stray send just reports
-                // ShuttingDown rather than wedging).
-                let (tx, _) = sync_channel::<Job>(1);
-                senders.push(tx);
-                remotes.push(Some(Arc::new(
-                    RemoteShard::connect_endpoint(endpoint.clone()).map_err(|e| {
-                        ServeError::Remote(format!("shard {shard} at {endpoint}: {e}"))
-                    })?,
-                )));
-                continue;
-            }
-            remotes.push(None);
-            let (tx, rx) = sync_channel::<Job>(config.queue_cap);
-            senders.push(tx);
-            let mut resumed_at = 0;
-            let guards = match &config.guards {
-                Some(g) => {
-                    let mut guards = ShardGuards::new(g, config.seed.wrapping_add(shard as u64))
-                        .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-                    // Resume from the sidecar checkpoint, if one exists: a
-                    // respawned shard keeps its fairness window and ε
-                    // ledger instead of silently resetting them.
-                    if let Some(ck_cfg) = &config.checkpoint {
-                        match load_checkpoint(&ck_cfg.dir, shard) {
-                            Ok(Some(ck)) => {
-                                guards.restore(&ck).map_err(|e| {
-                                    ServeError::Internal(format!(
-                                        "shard {shard} checkpoint restore: {e}"
-                                    ))
-                                })?;
-                                resumed_at = ck.decisions;
-                            }
-                            Ok(None) => {}
-                            Err(e) => {
-                                return Err(ServeError::Internal(format!(
-                                    "shard {shard} checkpoint load: {e}"
-                                )))
-                            }
-                        }
-                    }
-                    Some(guards)
-                }
-                None => None,
-            };
-            let hub = AlertHub::new(
-                shard,
-                alert_tx.clone(),
-                Arc::clone(&metrics),
-                config.alert_debounce,
-            );
-            let worker = ShardWorker {
-                shard,
-                rx,
-                model: Arc::clone(&model),
-                source: Arc::clone(&source),
+        let mut inner = Inner {
+            model,
+            source,
+            gate: RwLock::new(Gate {
+                phase: Phase::Stopped,
                 metrics: Arc::clone(&metrics),
-                guards,
-                hub,
-                threshold: config.threshold,
-                batch_max: config.batch_max,
-                batch_linger: config.batch_linger,
-                policy: config.policy,
-                trip_cooldown: config.trip_cooldown,
-                audit: sink.as_ref().map(AuditSink::handle),
-                checkpoint: config.checkpoint.clone(),
-                base_decisions: resumed_at,
-                checkpoint_gen: Arc::clone(&checkpoint_gen),
-                admission: admission.clone(),
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("fact-serve-{shard}"))
-                    .spawn(move || worker.run())
-                    .map_err(|e| ServeError::Internal(e.to_string()))?,
-            );
-        }
-        Ok(DecisionService {
-            inner: Arc::new(Inner {
-                config,
-                metrics,
-                senders: RwLock::new(Some(senders)),
-                workers: Mutex::new(workers),
-                alert_rx: Mutex::new(alert_rx),
-                report: Mutex::new(None),
-                audit_recovery: sink.as_ref().map(|s| s.recovery().clone()),
-                sink: Mutex::new(sink),
-                cache,
-                remotes,
-                checkpoint_gen,
-                admission,
+                retired: Tally::default(),
             }),
+            hold: Mutex::new(()),
+            resumed: Condvar::new(),
+            held_replayed: AtomicU64::new(0),
+            life: Mutex::new(Life {
+                workers: Vec::new(),
+                reshards: 0,
+                report: None,
+            }),
+            alert_tx,
+            alert_rx: Mutex::new(alert_rx),
+            audit_recovery: sink.as_ref().map(|s| s.recovery().clone()),
+            sink: Mutex::new(sink),
+            cache,
+            remotes,
+            checkpoint_gen: Arc::new(AtomicU64::new(0)),
+            admission,
+            config,
+        };
+        let topology = inner.spawn(metrics)?;
+        let gate = inner.gate.get_mut().unwrap_or_else(|e| e.into_inner());
+        gate.phase = Phase::Serving(topology.senders);
+        inner
+            .life
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .workers = topology.workers;
+        Ok(DecisionService {
+            inner: Arc::new(inner),
         })
-    }
-
-    fn shard_of(&self, route_key: u64) -> usize {
-        let mut h = DefaultHasher::new();
-        route_key.hash(&mut h);
-        (h.finish() % self.inner.config.shards as u64) as usize
     }
 
     /// Enqueue a request without waiting for the decision.
     ///
     /// Fails fast with [`ServeError::Busy`] when the shard's queue is full
     /// (load shedding) and [`ServeError::ShuttingDown`] after shutdown has
-    /// begun.
+    /// begun. During a [`reshard`](Self::reshard) the call parks up to
+    /// [`ServeConfig::reshard_hold`], then goes into the new topology or
+    /// returns [`ServeError::Resharding`].
     pub fn submit(&self, request: DecisionRequest) -> Result<DecisionHandle, ServeError> {
         if request.features.len() != self.inner.config.n_features {
             return Err(ServeError::BadRequest(format!(
@@ -836,13 +1092,68 @@ impl DecisionService {
                 request.features.len()
             )));
         }
-        let shard = self.shard_of(request.route_key);
-        if let Some(remote) = self.inner.remotes[shard].as_deref() {
-            // remote slots enforce their own admission policy worker-side,
-            // where the depth gauge and latency window actually live
-            return self.submit_remote(remote, shard, request);
+        let mut parked_until = None;
+        loop {
+            let gate = self.inner.gate();
+            match &gate.phase {
+                Phase::Serving(senders) => {
+                    let shard = shard_of(request.route_key, senders.len());
+                    if let Some(remote) = self.inner.remotes.get(shard).and_then(Option::as_deref) {
+                        // remote slots enforce their own admission policy
+                        // worker-side, where the depth gauge and latency
+                        // window actually live
+                        let metrics = Arc::clone(&gate.metrics);
+                        drop(gate);
+                        return self.submit_remote(remote, shard, metrics, request);
+                    }
+                    let result = self.submit_local(&senders[shard], shard, &gate.metrics, request);
+                    if parked_until.is_some() && result.is_ok() {
+                        self.inner.held_replayed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return result;
+                }
+                Phase::Stopped => return Err(ServeError::ShuttingDown),
+                Phase::Cutover => {}
+            }
+            drop(gate);
+            let until = *parked_until
+                .get_or_insert_with(|| Instant::now() + self.inner.config.reshard_hold);
+            self.park(until)?;
         }
-        let m = self.inner.metrics.shard(shard);
+    }
+
+    /// Wait for a cutover to end; [`ServeError::Resharding`] past `until`.
+    fn park(&self, until: Instant) -> Result<(), ServeError> {
+        let mut hold = self.inner.hold.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            // a binding, so the read guard is released before the wait
+            let cutover = matches!(self.inner.gate().phase, Phase::Cutover);
+            if !cutover {
+                return Ok(());
+            }
+            let now = Instant::now();
+            if now >= until {
+                return Err(ServeError::Resharding);
+            }
+            hold = self
+                .inner
+                .resumed
+                .wait_timeout(hold, until - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
+    /// Admit and enqueue a request onto a local shard's queue. Runs under
+    /// the gate's read lock, so a reshard cannot drop `tx` mid-send.
+    fn submit_local(
+        &self,
+        tx: &SyncSender<Job>,
+        shard: usize,
+        metrics: &Arc<MetricsRegistry>,
+        request: DecisionRequest,
+    ) -> Result<DecisionHandle, ServeError> {
+        let m = metrics.shard(shard);
         if let Some(adm) = &self.inner.admission {
             match adm.admit(request.tenant, m.depth.load(Ordering::Relaxed)) {
                 AdmissionDecision::Admit => {}
@@ -866,19 +1177,17 @@ impl DecisionService {
             enqueued: Instant::now(),
             reply: reply_tx,
         };
-        let guard = self.inner.senders.read().unwrap_or_else(|e| e.into_inner());
-        let senders = guard.as_ref().ok_or(ServeError::ShuttingDown)?;
         // The gauge goes up *before* the send: the worker may dequeue (and
         // decrement) the instant try_send returns, so incrementing after
         // would transiently wrap the gauge below zero.
         m.depth_inc();
-        match senders[shard].try_send(job) {
+        match tx.try_send(job) {
             Ok(()) => {
                 m.enqueued.fetch_add(1, Ordering::Relaxed);
                 Ok(DecisionHandle {
                     inner: HandleInner::Local { rx: reply_rx },
                     shard,
-                    metrics: Arc::clone(&self.inner.metrics),
+                    metrics: Arc::clone(metrics),
                 })
             }
             Err(TrySendError::Full(_)) => {
@@ -898,17 +1207,9 @@ impl DecisionService {
         &self,
         remote: &RemoteShard,
         shard: usize,
+        metrics: Arc<MetricsRegistry>,
         request: DecisionRequest,
     ) -> Result<DecisionHandle, ServeError> {
-        if self
-            .inner
-            .senders
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_none()
-        {
-            return Err(ServeError::ShuttingDown);
-        }
         let payload = net_encode(&RequestWire {
             features: request.features,
             group_b: request.group_b,
@@ -920,12 +1221,14 @@ impl DecisionService {
         let reply = remote
             .send(FrameKind::Request, payload)
             .map_err(|e| ServeError::Remote(e.to_string()))?;
-        let m = self.inner.metrics.shard(shard);
-        m.enqueued.fetch_add(1, Ordering::Relaxed);
+        metrics
+            .shard(shard)
+            .enqueued
+            .fetch_add(1, Ordering::Relaxed);
         Ok(DecisionHandle {
             inner: HandleInner::Remote { reply, enqueued },
             shard,
-            metrics: Arc::clone(&self.inner.metrics),
+            metrics,
         })
     }
 
@@ -943,10 +1246,109 @@ impl DecisionService {
         self.inner.checkpoint_gen.fetch_add(1, Ordering::Release);
     }
 
+    /// Change the shard count from the current `N` to `to` while serving,
+    /// conserving guard state (see the [module docs](self)). Returns a
+    /// [`ReshardReport`] whose pre/post counts prove conservation.
+    ///
+    /// Requires `guards` and `checkpoint` in the configuration, since the
+    /// sidecars carry the guard state across the cutover, and an all-local
+    /// topology. Fails with [`ServeError::BadRequest`] without touching the
+    /// running service if they are absent or if `to == 0`. If the
+    /// checkpoint transform itself refuses — e.g. shrinking would replay
+    /// more ε into a successor than its budget allows (the ledger is
+    /// conserved, never truncated) — the service **rolls back**: the
+    /// refused transform wrote nothing, so the workers restart on the
+    /// untouched sidecars and keep serving at the old shard count while
+    /// the error is surfaced to the caller. Concurrent reshards run one
+    /// after the other; after [`shutdown`](Self::shutdown) this returns
+    /// [`ServeError::ShuttingDown`].
+    pub fn reshard(&self, to: usize) -> Result<ReshardReport, ServeError> {
+        let config = &self.inner.config;
+        if to == 0 {
+            return Err(ServeError::BadRequest("cannot reshard to 0 shards".into()));
+        }
+        let (Some(_), Some(ck)) = (&config.guards, &config.checkpoint) else {
+            return Err(ServeError::BadRequest(
+                "resharding requires guards and checkpoint in the config \
+                 (the sidecars carry the guard state across the cutover)"
+                    .into(),
+            ));
+        };
+        if config.topology.is_some() {
+            return Err(ServeError::BadRequest(
+                "resharding a mixed local/remote topology is not supported; \
+                 reshard each worker process and re-dial the topology instead"
+                    .into(),
+            ));
+        }
+        let mut life = self.inner.life.lock().unwrap_or_else(|e| e.into_inner());
+        let started = Instant::now();
+        let held_before = self.inner.held_replayed.load(Ordering::Relaxed);
+        // Close the gate. A submit that got in before the flip is already
+        // queued and is drained below; the ones after it park.
+        let old = {
+            let mut gate = self.inner.gate_mut();
+            if !matches!(gate.phase, Phase::Serving(_)) {
+                return Err(ServeError::ShuttingDown);
+            }
+            gate.phase = Phase::Cutover;
+            Arc::clone(&gate.metrics)
+        };
+        let from = old.n_shards();
+        // Drain: every accepted request is answered and every shard writes
+        // its final sidecar before its thread exits.
+        let drained = join_workers(&mut life.workers);
+        let result = match transform_checkpoints(&ck.dir, from, to)
+            .and_then(|t| Ok((t, self.inner.spawn(Arc::new(old.successor(to)))?)))
+        {
+            Ok((transform, next)) => {
+                self.inner.install(&mut life, next, &drained);
+                life.reshards += 1;
+                Ok(transform)
+            }
+            Err(e) => {
+                // A refused transform wrote nothing, so the drained
+                // sidecars still hold the N-shard state exactly: roll back
+                // by restarting on them. Only if even that fails does the
+                // gate stop (loud, typed) rather than serve with unknown
+                // guard state.
+                match self.inner.spawn(Arc::new(old.successor(from))) {
+                    Ok(next) => self.inner.install(&mut life, next, &drained),
+                    Err(_) => {
+                        let mut gate = self.inner.gate_mut();
+                        gate.retired.add(&old.snapshot(), &drained);
+                        gate.metrics = Arc::new(old.successor(from));
+                        gate.phase = Phase::Stopped;
+                    }
+                }
+                Err(e)
+            }
+        };
+        drop(life);
+        self.inner.resume_parked();
+        let transform = result?;
+        Ok(ReshardReport {
+            from,
+            to,
+            pre_counts: transform.pre_counts,
+            post_counts: transform.post_counts,
+            pre_decisions: transform.pre_decisions,
+            post_decisions: transform.post_decisions,
+            ledger_entries: transform.ledger_entries,
+            held: self
+                .inner
+                .held_replayed
+                .load(Ordering::Relaxed)
+                .saturating_sub(held_before),
+            cutover: started.elapsed(),
+            drained: drained.iter().map(|s| s.served).sum(),
+        })
+    }
+
     /// Client-side transport stats for each remote shard slot (empty when
     /// the whole topology is local).
     pub fn remote_stats(&self) -> Vec<RemoteShardReport> {
-        let snap = self.inner.metrics.snapshot();
+        let snap = self.metrics();
         self.inner
             .remotes
             .iter()
@@ -967,9 +1369,23 @@ impl DecisionService {
             .collect()
     }
 
-    /// An instantaneous metrics snapshot.
+    /// An instantaneous metrics snapshot of the current topology (the
+    /// draining one mid-cutover). A reshard starts the successor's
+    /// counters at zero; [`decisions_served`](Self::decisions_served) and
+    /// the [`ServiceReport`] cover the whole life.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
+        let metrics = Arc::clone(&self.inner.gate().metrics);
+        metrics.snapshot()
+    }
+
+    /// Decisions served over the service's whole life, summed over every
+    /// topology it has run.
+    pub fn decisions_served(&self) -> u64 {
+        let (metrics, retired) = {
+            let gate = self.inner.gate();
+            (Arc::clone(&gate.metrics), gate.retired.served)
+        };
+        retired + metrics.snapshot().served()
     }
 
     /// Drain all alerts currently buffered on the global channel.
@@ -986,9 +1402,9 @@ impl DecisionService {
         out
     }
 
-    /// The configured shard count.
+    /// The current shard count (the old count until a cutover completes).
     pub fn shards(&self) -> usize {
-        self.inner.config.shards
+        self.inner.gate().metrics.n_shards()
     }
 
     /// What the audit sink's startup recovery pass found, when a sink is
@@ -1015,32 +1431,22 @@ impl DecisionService {
 
     /// Stop admitting requests, let every shard drain its queue, and join
     /// the workers. Every request accepted before shutdown is answered.
-    /// Idempotent: later calls (from this or any clone) return the same
-    /// report.
+    /// Waits for an in-flight reshard to finish first. Idempotent: later
+    /// calls (from this or any clone) return the same report.
     pub fn shutdown(&self) -> ServiceReport {
-        {
-            // Dropping the senders disconnects the queues; workers exit
-            // after serving what is already buffered.
-            let mut senders = self
-                .inner
-                .senders
-                .write()
-                .unwrap_or_else(|e| e.into_inner());
-            senders.take();
-        }
-        let mut report_slot = self.inner.report.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(report) = report_slot.as_ref() {
+        let mut life = self.inner.life.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(report) = &life.report {
             return report.clone();
         }
-        let handles: Vec<JoinHandle<ShardReport>> = {
-            let mut workers = self.inner.workers.lock().unwrap_or_else(|e| e.into_inner());
-            workers.drain(..).collect()
+        // Leaving Serving drops the senders, which disconnects the queues;
+        // workers exit after serving what is already buffered.
+        let (metrics, mut total) = {
+            let mut gate = self.inner.gate_mut();
+            gate.phase = Phase::Stopped;
+            (Arc::clone(&gate.metrics), gate.retired.clone())
         };
-        let mut shards: Vec<ShardReport> = handles
-            .into_iter()
-            .map(|h| h.join().expect("fact-serve worker panicked"))
-            .collect();
-        shards.sort_by_key(|s| s.shard);
+        self.inner.resume_parked();
+        let shards = join_workers(&mut life.workers);
         // The workers (and their sink handles) are gone: finishing the sink
         // now drains whatever they enqueued, stamps the stop marker, and
         // fsyncs the final batch.
@@ -1048,32 +1454,32 @@ impl DecisionService {
             let mut sink = self.inner.sink.lock().unwrap_or_else(|e| e.into_inner());
             sink.take().map(AuditSink::finish)
         };
-        let snap = self.inner.metrics.snapshot();
-        let remotes = self.remote_stats();
-        let remote_served: u64 = remotes.iter().map(|r| r.served).sum();
+        let snap = metrics.snapshot();
+        total.add(&snap, &shards);
         let report = ServiceReport {
-            decisions_served: shards.iter().map(|s| s.served).sum::<u64>() + remote_served,
-            shed: snap.shed(),
-            throttled: snap.throttled(),
-            timed_out: snap.shards.iter().map(|s| s.timeouts).sum(),
-            rejected: shards.iter().map(|s| s.rejected).sum(),
-            flagged: shards.iter().map(|s| s.flagged).sum(),
-            alerts_raised: shards.iter().map(|s| s.alerts).sum(),
-            epsilon_spent: shards.iter().map(|s| s.epsilon_spent).sum(),
+            decisions_served: total.served,
+            shed: total.shed,
+            throttled: total.throttled,
+            timed_out: total.timed_out,
+            rejected: total.rejected,
+            flagged: total.flagged,
+            alerts_raised: total.alerts,
+            epsilon_spent: total.epsilon_spent,
             audited: sink_report.as_ref().map_or(0, |r| r.audited),
             lost_on_recovery: sink_report.as_ref().map_or(0, |r| r.recovery.lost),
             audit_segments: sink_report.as_ref().map_or(0, |r| r.segments),
-            cache: snap.cache.clone(),
-            admission: snap.admission.clone(),
+            cache: snap.cache,
+            admission: snap.admission,
             archive: sink_report
                 .as_ref()
                 .map(|r| r.archive.clone())
                 .unwrap_or_default(),
-            checkpoints_written: shards.iter().map(|s| s.checkpoints).sum(),
+            checkpoints_written: total.checkpoints,
+            reshards: life.reshards,
             shards,
-            remotes,
+            remotes: self.remote_stats(),
         };
-        *report_slot = Some(report.clone());
+        life.report = Some(report.clone());
         report
     }
 }
@@ -1313,74 +1719,26 @@ impl ShardWorker {
 /// its server.
 ///
 /// Control commands: `"ping"` acks; `"checkpoint"` requests a guard
-/// checkpoint flush; `"shutdown"` sets the shutdown flag (when one was
-/// provided) and acks — actually stopping the service and exiting is the
-/// hosting process's job, *after* it sees the flag, so the ack still
-/// reaches the client; `"reshard <M>"` (reshardable hosts only, see
-/// [`NetShardHandler::reshardable`]) performs a live cutover to `M` shards
-/// on the connection's writer thread and acks with the conservation
-/// numbers (`PROTOCOL.md §6 — Control commands`).
+/// checkpoint flush; `"shutdown"` sets the shutdown flag and acks —
+/// actually stopping the service and exiting is the hosting process's job,
+/// *after* it sees the flag, so the ack still reaches the client;
+/// `"reshard <M>"` runs [`DecisionService::reshard`] on the connection's
+/// writer thread and acks with the conservation numbers, or with
+/// `ok=false` and the typed reason on a service without checkpointing
+/// (`PROTOCOL.md §6 — Control commands`).
 pub struct NetShardHandler {
-    host: Host,
+    service: DecisionService,
     /// Worker-side ceiling on how long a thunk waits for a decision.
     timeout: Duration,
     /// Set to true when a `"shutdown"` control command arrives.
     shutdown_requested: Arc<std::sync::atomic::AtomicBool>,
 }
 
-/// What the handler serves: a plain service, or one wrapped in the
-/// reshard gate so `"reshard <M>"` control commands work.
-enum Host {
-    Plain(DecisionService),
-    Reshardable(crate::reshard::ReshardableService),
-}
-
-impl Host {
-    fn submit(&self, request: DecisionRequest) -> Result<DecisionHandle, ServeError> {
-        match self {
-            Host::Plain(s) => s.submit(request),
-            Host::Reshardable(s) => s.submit(request),
-        }
-    }
-
-    fn request_checkpoint(&self) {
-        match self {
-            Host::Plain(s) => s.request_checkpoint(),
-            Host::Reshardable(s) => s.request_checkpoint(),
-        }
-    }
-
-    fn shards(&self) -> usize {
-        match self {
-            Host::Plain(s) => s.shards(),
-            Host::Reshardable(s) => s.shards(),
-        }
-    }
-
-    fn served(&self) -> u64 {
-        match self {
-            Host::Plain(s) => s.metrics().served(),
-            Host::Reshardable(s) => s.metrics().map_or(0, |m| m.served()),
-        }
-    }
-}
-
 impl NetShardHandler {
     /// Wrap `service` for serving over fact-net.
     pub fn new(service: DecisionService, timeout: Duration) -> Self {
         NetShardHandler {
-            host: Host::Plain(service),
-            timeout,
-            shutdown_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-        }
-    }
-
-    /// Wrap a [`ReshardableService`](crate::reshard::ReshardableService):
-    /// identical to [`new`](NetShardHandler::new) except the
-    /// `"reshard <M>"` control command is live.
-    pub fn reshardable(service: crate::reshard::ReshardableService, timeout: Duration) -> Self {
-        NetShardHandler {
-            host: Host::Reshardable(service),
+            service,
             timeout,
             shutdown_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
         }
@@ -1406,7 +1764,7 @@ impl fact_net::ShardHandler for NetShardHandler {
                 let outcome = net_decode::<RequestWire>(&payload)
                     .map_err(|e| ServeError::Remote(e.to_string()))
                     .and_then(|req| {
-                        self.host.submit(DecisionRequest {
+                        self.service.submit(DecisionRequest {
                             features: req.features,
                             group_b: req.group_b,
                             route_key: req.route_key,
@@ -1440,10 +1798,10 @@ impl fact_net::ShardHandler for NetShardHandler {
                 })
             }
             FrameKind::Checkpoint => {
-                self.host.request_checkpoint();
+                self.service.request_checkpoint();
                 let ack = CheckpointAckWire {
-                    shards: self.host.shards(),
-                    decisions: self.host.served(),
+                    shards: self.service.shards(),
+                    decisions: self.service.decisions_served(),
                 };
                 Box::new(move || emit(&ack))
             }
@@ -1456,29 +1814,19 @@ impl fact_net::ShardHandler for NetShardHandler {
                 // and the ack carries the cutover's conservation numbers.
                 if let Some(target) = command.strip_prefix("reshard ") {
                     let target: Result<usize, _> = target.trim().parse();
-                    let reshardable = match &self.host {
-                        Host::Reshardable(s) => Some(s.clone()),
-                        Host::Plain(_) => None,
-                    };
+                    let service = self.service.clone();
                     return Box::new(move || {
-                        let (ok, info) = match (reshardable, target) {
-                            (_, Err(_)) => (false, "reshard needs a shard count".to_string()),
-                            (None, _) => (false, "this worker is not reshardable".to_string()),
-                            (Some(s), Ok(m)) => match s.reshard(m) {
-                                Ok(r) => (
-                                    true,
-                                    format!(
-                                        "resharded {} -> {}: {} decisions drained, \
-                                         {} ledger entries redistributed, {} held submits replayed",
-                                        r.from,
-                                        r.to,
-                                        r.epoch.decisions_served,
-                                        r.ledger_entries,
-                                        r.held
-                                    ),
+                        let (ok, info) = match target.map(|m| service.reshard(m)) {
+                            Err(_) => (false, "reshard needs a shard count".to_string()),
+                            Ok(Ok(r)) => (
+                                true,
+                                format!(
+                                    "resharded {} -> {}: {} decisions drained, \
+                                     {} ledger entries redistributed, {} held submits replayed",
+                                    r.from, r.to, r.drained, r.ledger_entries, r.held
                                 ),
-                                Err(e) => (false, format!("reshard failed: {e}")),
-                            },
+                            ),
+                            Ok(Err(e)) => (false, format!("reshard failed: {e}")),
                         };
                         emit(&ControlAckWire { ok, info })
                     });
@@ -1486,7 +1834,7 @@ impl fact_net::ShardHandler for NetShardHandler {
                 let (ok, info) = match command.as_str() {
                     "ping" => (true, "pong".to_string()),
                     "checkpoint" => {
-                        self.host.request_checkpoint();
+                        self.service.request_checkpoint();
                         (true, "checkpoint requested".to_string())
                     }
                     "shutdown" => {

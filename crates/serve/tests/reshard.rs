@@ -13,8 +13,8 @@ use fact_ml::Classifier;
 use fact_net::{RemoteShard, Server, ShardHandler};
 use fact_serve::{
     load_checkpoint, transform_checkpoints, write_checkpoint, CheckpointConfig, DecisionRequest,
-    GuardCheckpoint, GuardConfig, LedgerEntry, NetShardHandler, ReshardConfig, ReshardableService,
-    ServeConfig, ServeError,
+    DecisionService, GuardCheckpoint, GuardConfig, LedgerEntry, NetShardHandler, ServeConfig,
+    ServeError,
 };
 
 /// Probability = first feature.
@@ -148,11 +148,11 @@ fn transform_refuses_over_budget_successor_without_writing() {
 #[test]
 fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
     let dir = temp_dir("live");
-    let service = ReshardableService::start(
+    let service = DecisionService::start(
         Arc::new(StubModel),
-        config(4, &dir),
-        ReshardConfig {
-            hold_max: Duration::from_secs(30),
+        ServeConfig {
+            reshard_hold: Duration::from_secs(30),
+            ..config(4, &dir)
         },
     )
     .unwrap();
@@ -198,15 +198,18 @@ fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
     assert_eq!(shrink.pre_counts, shrink.post_counts);
     assert_eq!(service.shards(), 3);
     // the drained epoch between the two cutovers is accounted for
-    assert!(shrink.epoch.decisions_served >= 500, "{:?}", shrink.epoch);
+    assert!(shrink.drained >= 500, "{shrink:?}");
 
     stop.store(true, Ordering::Relaxed);
     for d in drivers {
         d.join().expect("driver saw an error — a decision was lost");
     }
-    let epochs = service.shutdown();
-    assert_eq!(epochs.len(), 3, "one report per topology epoch");
-    let served: u64 = epochs.iter().map(|e| e.decisions_served).sum();
+    let report = service.shutdown();
+    assert_eq!(
+        report.reshards, 2,
+        "one lifetime report across both cutovers"
+    );
+    let served = report.decisions_served;
     assert_eq!(issued.load(Ordering::Relaxed), ok.load(Ordering::Relaxed));
     assert_eq!(served, ok.load(Ordering::Relaxed), "zero lost decisions");
     // lifetime decisions survived both transforms into the final sidecars
@@ -223,18 +226,18 @@ fn submits_past_the_hold_window_get_a_typed_retryable_refusal() {
     // a reshard against a service whose guards/checkpoints are off fails
     // fast — but first, pin the gate semantics with a zero hold window by
     // racing a submit against a real (slow) cutover
-    let service = ReshardableService::start(
+    let service = DecisionService::start(
         Arc::new(StubModel),
-        config(2, &dir),
-        ReshardConfig {
-            hold_max: Duration::ZERO,
+        ServeConfig {
+            reshard_hold: Duration::ZERO,
+            ..config(2, &dir)
         },
     )
     .unwrap();
     for i in 0..100 {
         service.decide(request(i)).unwrap();
     }
-    // run the cutover on another thread; with hold_max = 0 any submit that
+    // run the cutover on another thread; with reshard_hold = 0 any submit that
     // lands mid-cutover must see Resharding, never a hang or a drop
     let svc = service.clone();
     let cutover = std::thread::spawn(move || svc.reshard(5).unwrap());
@@ -266,7 +269,7 @@ fn submits_past_the_hold_window_get_a_typed_retryable_refusal() {
 
 #[test]
 fn reshard_without_checkpointing_is_a_typed_error() {
-    let service = ReshardableService::start(
+    let service = DecisionService::start(
         Arc::new(StubModel),
         ServeConfig {
             shards: 2,
@@ -274,7 +277,6 @@ fn reshard_without_checkpointing_is_a_typed_error() {
             guards: None,
             ..ServeConfig::default()
         },
-        ReshardConfig::default(),
     )
     .unwrap();
     service.decide(request(1)).unwrap();
@@ -298,8 +300,7 @@ fn over_budget_shrink_rolls_back_and_keeps_serving() {
         epsilon_per_release: 0.3,
         ..GuardConfig::default()
     });
-    let service =
-        ReshardableService::start(Arc::new(StubModel), cfg, ReshardConfig::default()).unwrap();
+    let service = DecisionService::start(Arc::new(StubModel), cfg).unwrap();
     // ~600 decisions → ≥ 12 releases → ≥ 3.6 ε in the combined ledger
     for i in 0..600 {
         service.decide(request(i)).unwrap();
@@ -325,13 +326,8 @@ fn over_budget_shrink_rolls_back_and_keeps_serving() {
 fn reshard_control_command_works_over_fact_net() {
     let dir = temp_dir("wire");
     let sock = std::env::temp_dir().join(format!("fact-reshard-wire-{}.sock", std::process::id()));
-    let service = ReshardableService::start(
-        Arc::new(StubModel),
-        config(4, &dir),
-        ReshardConfig::default(),
-    )
-    .unwrap();
-    let handler = NetShardHandler::reshardable(service.clone(), Duration::from_secs(5));
+    let service = DecisionService::start(Arc::new(StubModel), config(4, &dir)).unwrap();
+    let handler = NetShardHandler::new(service.clone(), Duration::from_secs(5));
     let mut server = Server::bind(&sock, Arc::new(handler) as Arc<dyn ShardHandler>).unwrap();
 
     let client = RemoteShard::connect(&sock).unwrap();
@@ -390,4 +386,196 @@ fn reshard_control_command_works_over_fact_net() {
     server.shutdown();
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Serve `n` requests over `client`, keys `base..base + n`; each must
+/// succeed.
+fn serve_over_wire(client: &RemoteShard, base: u64, n: u64) {
+    for i in base..base + n {
+        let wire = fact_net::RequestWire {
+            features: vec![0.4],
+            group_b: i % 2 == 0,
+            route_key: i,
+            tenant: None,
+        };
+        let frame = client
+            .send(
+                fact_net::FrameKind::Request,
+                fact_net::encode(&wire).unwrap(),
+            )
+            .unwrap()
+            .wait(Duration::from_secs(5))
+            .unwrap();
+        let resp: fact_net::ResponseWire = fact_net::decode(&frame.payload).unwrap();
+        resp.into_result().unwrap();
+    }
+}
+
+fn socket(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("fact-reshard-{tag}-{}.sock", std::process::id()))
+}
+
+#[test]
+fn checkpoint_ack_reports_lifetime_decisions_across_a_reshard() {
+    let dir = temp_dir("ack");
+    let service = DecisionService::start(Arc::new(StubModel), config(4, &dir)).unwrap();
+    let handler = NetShardHandler::new(service.clone(), Duration::from_secs(5));
+    let sock = socket("ack");
+    let mut server = Server::bind(&sock, Arc::new(handler) as Arc<dyn ShardHandler>).unwrap();
+    let client = RemoteShard::connect(&sock).unwrap();
+    serve_over_wire(&client, 0, 300);
+
+    let ack = client
+        .control("reshard 2", Duration::from_secs(30))
+        .unwrap();
+    let wire: fact_net::ControlAckWire = fact_net::decode(&ack.payload).unwrap();
+    assert!(wire.ok, "{}", wire.info);
+
+    // the ack covers every decision the worker served, not only the ones
+    // since the cutover
+    let frame = client
+        .send(fact_net::FrameKind::Checkpoint, Vec::new())
+        .unwrap()
+        .wait(Duration::from_secs(5))
+        .unwrap();
+    let ack: fact_net::CheckpointAckWire = fact_net::decode(&frame.payload).unwrap();
+    assert_eq!(ack.shards, 2);
+    assert!(ack.decisions >= 300, "decisions covered: {}", ack.decisions);
+
+    server.shutdown();
+    assert_eq!(service.shutdown().decisions_served, 300);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reshard_control_without_checkpointing_is_refused_and_serving_continues() {
+    let dir = temp_dir("refuse");
+    let service = DecisionService::start(
+        Arc::new(StubModel),
+        ServeConfig {
+            checkpoint: None,
+            ..config(2, &dir)
+        },
+    )
+    .unwrap();
+    let handler = NetShardHandler::new(service.clone(), Duration::from_secs(5));
+    let sock = socket("refuse");
+    let mut server = Server::bind(&sock, Arc::new(handler) as Arc<dyn ShardHandler>).unwrap();
+    let client = RemoteShard::connect(&sock).unwrap();
+    serve_over_wire(&client, 0, 50);
+
+    let ack = client
+        .control("reshard 4", Duration::from_secs(30))
+        .unwrap();
+    let wire: fact_net::ControlAckWire = fact_net::decode(&ack.payload).unwrap();
+    assert!(!wire.ok, "{}", wire.info);
+    assert!(wire.info.contains("checkpoint"), "{}", wire.info);
+
+    // the refusal left the service alone: same shards, still serving
+    assert_eq!(service.shards(), 2);
+    serve_over_wire(&client, 50, 50);
+    server.shutdown();
+    let report = service.shutdown();
+    assert_eq!(report.decisions_served, 100);
+    assert_eq!(report.reshards, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cutover_racing_shutdown_and_submits_ends_every_submit_exactly_once() {
+    // splitmix64: a seeded schedule without a dependency
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+    for seed in 0..8u64 {
+        let mut rng = seed;
+        let dir = temp_dir(&format!("race-{seed}"));
+        let service = DecisionService::start(
+            Arc::new(StubModel),
+            ServeConfig {
+                // 0 ms on some seeds, so parked submits get refused
+                reshard_hold: Duration::from_millis(next(&mut rng) % 3),
+                ..config(4, &dir)
+            },
+        )
+        .unwrap();
+        let reshard_after = Duration::from_micros(next(&mut rng) % 2_000);
+        let shutdown_after = Duration::from_micros(next(&mut rng) % 4_000);
+
+        let ok = Arc::new(AtomicU64::new(0));
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<Option<String>>();
+        let mut threads = Vec::new();
+        for t in 0..2u64 {
+            let (service, ok, done) = (service.clone(), Arc::clone(&ok), done_tx.clone());
+            threads.push(std::thread::spawn(move || {
+                for i in 0.. {
+                    match service.submit(request((t << 32) | i)) {
+                        Ok(h) => {
+                            h.wait(Duration::from_secs(30))
+                                .expect("an accepted submit is answered");
+                            ok.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(ServeError::Resharding) => {}
+                        Err(ServeError::ShuttingDown) => break,
+                        Err(e) => panic!("seed {seed}: submit ended in {e:?}"),
+                    }
+                }
+                done.send(None).unwrap();
+            }));
+        }
+        let (svc, done) = (service.clone(), done_tx.clone());
+        threads.push(std::thread::spawn(move || {
+            std::thread::sleep(reshard_after);
+            match svc.reshard(8) {
+                Ok(_) | Err(ServeError::ShuttingDown) => {}
+                Err(e) => panic!("seed {seed}: reshard ended in {e:?}"),
+            }
+            done.send(None).unwrap();
+        }));
+        let (svc, done) = (service.clone(), done_tx);
+        threads.push(std::thread::spawn(move || {
+            std::thread::sleep(shutdown_after);
+            done.send(Some(format!("{:?}", svc.shutdown()))).unwrap();
+        }));
+
+        let mut first = None;
+        for _ in 0..threads.len() {
+            match done_rx.recv_timeout(Duration::from_secs(60)) {
+                Ok(report) => first = first.or(report),
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("seed {seed}: a thread hung at the cutover gate")
+                }
+                // a thread panicked; joining below surfaces its message
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
+
+        let report = service.shutdown();
+        assert_eq!(
+            first.as_deref(),
+            Some(format!("{report:?}").as_str()),
+            "seed {seed}: a second shutdown returns the same report"
+        );
+        assert_eq!(
+            report.decisions_served,
+            ok.load(Ordering::Relaxed),
+            "seed {seed}: every Ok is a served decision and nothing else is"
+        );
+        let sidecars: u64 = (0..8)
+            .filter_map(|s| load_checkpoint(&dir, s).unwrap())
+            .map(|ck| ck.decisions)
+            .sum();
+        assert_eq!(
+            sidecars, report.decisions_served,
+            "seed {seed}: the sidecars account for every decision"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

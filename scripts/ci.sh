@@ -50,6 +50,10 @@
 #  14. doc-link check         every PROTOCOL.md / OPERATIONS.md section
 #                             anchor referenced from the crate rustdoc
 #                             resolves to a real heading
+#  15. servebench tests       the serving benchmark (its own package under
+#                             servebench/) still builds and its output
+#                             checks pass against the current fact-serve
+#                             API, built in .bench_build like servebench/run.sh
 #
 # Everything runs --offline: the workspace vendors its dependencies and
 # must build with no network.
@@ -121,5 +125,8 @@ while IFS= read -r ref; do
     }
 done <<< "$refs"
 echo "    all $(echo "$refs" | wc -l) §-references resolve"
+
+echo "==> servebench tests (the benchmark builds against this tree)"
+CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path servebench/Cargo.toml
 
 echo "==> ci.sh: all green"
