@@ -67,7 +67,11 @@ fn checkpoint_totals(dir: &Path) -> (u64, usize, f64) {
     for shard in 0..WORKER_SHARDS {
         if let Some(ck) = load_checkpoint(dir, shard).expect("readable checkpoint") {
             decisions += ck.decisions;
-            ledger += ck.ledger.len();
+            ledger += ck
+                .ledger
+                .iter()
+                .map(|e| e.releases() as usize)
+                .sum::<usize>();
             window_events += ck.window.total_events() as f64;
         }
     }

@@ -10,18 +10,26 @@
 
 use fact_data::{FactError, Result};
 
-/// One ledger entry.
+/// One ledger entry: `count` consecutive spends of the same
+/// `(label, epsilon, delta)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expenditure {
     /// Human-readable purpose of the query.
     pub label: String,
-    /// Epsilon spent.
+    /// Epsilon spent by each query.
     pub epsilon: f64,
-    /// Delta spent.
+    /// Delta spent by each query.
     pub delta: f64,
+    /// How many consecutive queries this entry records (at least 1).
+    pub count: u64,
 }
 
 /// A sequential-composition ε/δ budget ledger.
+///
+/// A spend costs O(1): the accountant keeps running ε and δ totals, and a
+/// spend that repeats the previous entry's `(label, ε, δ)` bumps that
+/// entry's `count` instead of growing the ledger. A long-lived stream of
+/// identical releases therefore holds one entry, not one per release.
 ///
 /// ```
 /// use fact_confidentiality::PrivacyAccountant;
@@ -35,6 +43,10 @@ pub struct PrivacyAccountant {
     budget_epsilon: f64,
     budget_delta: f64,
     ledger: Vec<Expenditure>,
+    /// Running totals, accumulated by `+=` in spend order so they equal
+    /// the sequential sum over every recorded query, bit for bit.
+    spent_epsilon: f64,
+    spent_delta: f64,
 }
 
 impl PrivacyAccountant {
@@ -54,6 +66,8 @@ impl PrivacyAccountant {
             budget_epsilon,
             budget_delta,
             ledger: Vec::new(),
+            spent_epsilon: 0.0,
+            spent_delta: 0.0,
         })
     }
 
@@ -64,7 +78,12 @@ impl PrivacyAccountant {
 
     /// Attempt to spend `(epsilon, delta)`; errors without recording if the
     /// remaining budget is insufficient.
-    pub fn spend(&mut self, epsilon: f64, delta: f64, label: impl Into<String>) -> Result<()> {
+    pub fn spend(
+        &mut self,
+        epsilon: f64,
+        delta: f64,
+        label: impl AsRef<str> + Into<String>,
+    ) -> Result<()> {
         if epsilon <= 0.0 || !epsilon.is_finite() {
             return Err(FactError::InvalidArgument(format!(
                 "query epsilon must be positive and finite, got {epsilon}"
@@ -88,22 +107,34 @@ impl PrivacyAccountant {
                 self.remaining_delta()
             )));
         }
-        self.ledger.push(Expenditure {
-            label: label.into(),
-            epsilon,
-            delta,
-        });
+        self.spent_epsilon += epsilon;
+        self.spent_delta += delta;
+        match self.ledger.last_mut() {
+            Some(last)
+                if last.epsilon == epsilon
+                    && last.delta == delta
+                    && last.label == label.as_ref() =>
+            {
+                last.count += 1;
+            }
+            _ => self.ledger.push(Expenditure {
+                label: label.into(),
+                epsilon,
+                delta,
+                count: 1,
+            }),
+        }
         Ok(())
     }
 
     /// Total ε spent so far (basic composition: simple sum).
     pub fn spent_epsilon(&self) -> f64 {
-        self.ledger.iter().map(|e| e.epsilon).sum()
+        self.spent_epsilon
     }
 
     /// Total δ spent so far.
     pub fn spent_delta(&self) -> f64 {
-        self.ledger.iter().map(|e| e.delta).sum()
+        self.spent_delta
     }
 
     /// Remaining ε.
@@ -126,8 +157,9 @@ impl PrivacyAccountant {
         self.budget_delta
     }
 
-    /// The ledger of every recorded expenditure, in order — the audit trail
-    /// the transparency pillar expects confidentiality decisions to leave.
+    /// The ledger of every recorded expenditure, in order, with runs of
+    /// identical spends coalesced — the audit trail the transparency
+    /// pillar expects confidentiality decisions to leave.
     pub fn ledger(&self) -> &[Expenditure] {
         &self.ledger
     }
@@ -233,6 +265,26 @@ mod tests {
         let labels: Vec<&str> = acc.ledger().iter().map(|e| e.label.as_str()).collect();
         assert_eq!(labels, vec!["mean salary", "count by dept"]);
         assert_eq!(acc.spent_epsilon(), 1.0);
+    }
+
+    #[test]
+    fn repeated_spends_coalesce_with_bit_identical_totals() {
+        let n = 100_000;
+        let mut acc = PrivacyAccountant::pure(1e9).unwrap();
+        for _ in 0..n {
+            acc.spend(0.01, 0.0, "stream dp count").unwrap();
+        }
+        assert_eq!(acc.ledger().len(), 1);
+        assert_eq!(acc.ledger()[0].count, n);
+        let sequential: f64 = std::iter::repeat(0.01).take(n as usize).sum();
+        assert_eq!(acc.spent_epsilon().to_bits(), sequential.to_bits());
+
+        // a different label, ε or δ starts a new entry
+        acc.spend(0.02, 0.0, "stream dp count").unwrap();
+        acc.spend(0.02, 0.0, "other").unwrap();
+        acc.spend(0.02, 0.0, "other").unwrap();
+        let counts: Vec<u64> = acc.ledger().iter().map(|e| e.count).collect();
+        assert_eq!(counts, vec![n, 1, 2]);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! count-vectors — so what a restart loses is *provable and bounded*: at
 //! most the decisions since the last checkpoint, and within the restored
 //! window at most one segment's worth of event ordering. The ε ledger is
-//! exact (every recorded expenditure is replayed into a fresh accountant).
+//! exact (every recorded expenditure is replayed into a fresh accountant);
+//! runs of identical releases travel as one entry with a `count`, so a
+//! sidecar stays small for the life of the service.
 //! The drift monitor's recent-score window is deliberately *not*
 //! checkpointed: its reference distribution is configuration, and its
 //! sliding window refills within `window` decisions.
@@ -24,6 +26,8 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use fact_confidentiality::accountant::Expenditure;
+use fact_confidentiality::PrivacyAccountant;
 use fact_fairness::{SegmentCounts, WindowSummary};
 use serde::{Deserialize, Serialize};
 
@@ -54,15 +58,39 @@ impl CheckpointConfig {
     }
 }
 
-/// One recorded ε/δ expenditure, as serialized.
+/// `count` consecutive ε/δ expenditures with the same label, as
+/// serialized.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LedgerEntry {
     /// Purpose label from the accountant's ledger.
     pub label: String,
-    /// Epsilon spent.
+    /// Epsilon spent by each release.
     pub epsilon: f64,
-    /// Delta spent.
+    /// Delta spent by each release.
     pub delta: f64,
+    /// Releases this entry records. Sidecars written before entries were
+    /// coalesced carry no `count` (read as `None`, like the optional
+    /// fields of fact-net's wire types); each of their entries is one
+    /// release. See [`releases`](LedgerEntry::releases).
+    pub count: Option<u64>,
+}
+
+impl LedgerEntry {
+    /// Releases this entry records: `count`, or 1 when it is absent.
+    pub fn releases(&self) -> u64 {
+        self.count.unwrap_or(1)
+    }
+}
+
+impl From<&Expenditure> for LedgerEntry {
+    fn from(e: &Expenditure) -> Self {
+        LedgerEntry {
+            label: e.label.clone(),
+            epsilon: e.epsilon,
+            delta: e.delta,
+            count: Some(e.count),
+        }
+    }
 }
 
 /// Everything a shard's guard set needs to resume after a restart.
@@ -75,7 +103,8 @@ pub struct GuardCheckpoint {
     pub decisions: u64,
     /// The fairness monitor's sliding window, segment-summarized.
     pub window: WindowSummary,
-    /// The privacy accountant's full expenditure ledger.
+    /// The privacy accountant's full expenditure ledger, runs of identical
+    /// releases coalesced.
     pub ledger: Vec<LedgerEntry>,
     /// The accountant's ε budget (sanity-checked against config on load).
     pub budget_epsilon: f64,
@@ -142,7 +171,7 @@ pub struct TransformReport {
     pub pre_decisions: u64,
     /// Summed lifetime decisions after; equals `pre_decisions`.
     pub post_decisions: u64,
-    /// ε-ledger entries redistributed.
+    /// ε-ledger releases redistributed (the sum of the entries' counts).
     pub ledger_entries: u64,
 }
 
@@ -155,8 +184,9 @@ pub struct TransformReport {
 /// * Fairness windows are folded with [`WindowSummary::merge_all`] and
 ///   fanned out with [`WindowSummary::split`]; the summed segment counts
 ///   are bit-equal before and after (both are returned).
-/// * ε-ledger entries are dealt round-robin (entry *j* → successor
-///   `j % to`), so every recorded expenditure is replayed exactly once.
+/// * ε-ledger releases are dealt round-robin (release *j* → successor
+///   `j % to`, counting each entry's `count` releases in order), so every
+///   recorded expenditure is replayed exactly once.
 ///   If any successor's total ε would exceed the checkpointed budget, the
 ///   transform fails **before writing anything** — conservation over
 ///   silent loss.
@@ -222,24 +252,30 @@ pub fn transform_checkpoints(
         .split(to)
         .map_err(|e| ServeError::Internal(format!("window split failed: {e}")))?;
 
-    // Deal the ledgers round-robin, preserving shard order, and check each
-    // successor against the budget before anything is written.
-    let mut ledgers: Vec<Vec<LedgerEntry>> = vec![Vec::new(); to];
+    // Deal the releases round-robin, preserving shard order, into one
+    // accountant per successor. Each replays exactly what its restore
+    // will, so an over-budget successor is refused here, before anything
+    // is written.
+    let mut accountants = (0..to)
+        .map(|_| PrivacyAccountant::new(budget_epsilon, budget_delta))
+        .collect::<fact_data::Result<Vec<_>>>()
+        .map_err(|e| ServeError::Internal(format!("sidecar budget is invalid: {e}")))?;
     let mut ledger_entries = 0u64;
     for ck in &checkpoints {
         for entry in &ck.ledger {
-            ledgers[(ledger_entries as usize) % to].push(entry.clone());
-            ledger_entries += 1;
-        }
-    }
-    for (i, ledger) in ledgers.iter().enumerate() {
-        let eps: f64 = ledger.iter().map(|e| e.epsilon).sum();
-        if eps > budget_epsilon {
-            return Err(ServeError::BadRequest(format!(
-                "reshard to {to} shards would replay ε={eps:.4} into successor {i}, \
-                 over its budget {budget_epsilon:.4}; the ledger is conserved, not \
-                 truncated — reshard to more shards or raise the budget"
-            )));
+            for _ in 0..entry.releases() {
+                let i = (ledger_entries % to as u64) as usize;
+                accountants[i]
+                    .spend(entry.epsilon, entry.delta, entry.label.as_str())
+                    .map_err(|e| {
+                        ServeError::BadRequest(format!(
+                            "reshard to {to} shards would overrun successor {i}'s budget \
+                             ε={budget_epsilon:.4} ({e}); the ledger is conserved, not \
+                             truncated — reshard to more shards or raise the budget"
+                        ))
+                    })?;
+                ledger_entries += 1;
+            }
         }
     }
 
@@ -266,7 +302,11 @@ pub fn transform_checkpoints(
             shard: i as u64,
             decisions: decisions_parts[i],
             window: window.clone(),
-            ledger: std::mem::take(&mut ledgers[i]),
+            ledger: accountants[i]
+                .ledger()
+                .iter()
+                .map(LedgerEntry::from)
+                .collect(),
             budget_epsilon,
             budget_delta,
             dp_pending: dp_pending_parts[i],
@@ -310,18 +350,12 @@ mod tests {
             shard,
             decisions: 1234,
             window,
-            ledger: vec![
-                LedgerEntry {
-                    label: "dp-release".into(),
-                    epsilon: 0.01,
-                    delta: 0.0,
-                },
-                LedgerEntry {
-                    label: "dp-release".into(),
-                    epsilon: 0.01,
-                    delta: 0.0,
-                },
-            ],
+            ledger: vec![LedgerEntry {
+                label: "dp-release".into(),
+                epsilon: 0.01,
+                delta: 0.0,
+                count: Some(2),
+            }],
             budget_epsilon: 1.0,
             budget_delta: 0.0,
             dp_pending: 42,

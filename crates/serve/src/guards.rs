@@ -238,11 +238,7 @@ impl ShardGuards {
                 .accountant
                 .ledger()
                 .iter()
-                .map(|e| LedgerEntry {
-                    label: e.label.clone(),
-                    epsilon: e.epsilon,
-                    delta: e.delta,
-                })
+                .map(LedgerEntry::from)
                 .collect(),
             budget_epsilon: self.accountant.budget_epsilon(),
             budget_delta: self.accountant.budget_delta(),
@@ -253,13 +249,16 @@ impl ShardGuards {
 
     /// Resume a freshly-constructed guard set from `ck`: the fairness
     /// window is resynthesized from the summary (exact per-segment
-    /// counts), the accountant replays every ledger entry, and the DP
+    /// counts), the accountant replays every recorded release, and the DP
     /// counter picks up its pending count mid-interval. Must be called
     /// before the guards observe anything.
     pub fn restore(&mut self, ck: &GuardCheckpoint) -> Result<()> {
         self.fairness.restore(&ck.window);
         for e in &ck.ledger {
-            self.accountant.spend(e.epsilon, e.delta, e.label.clone())?;
+            for _ in 0..e.releases() {
+                self.accountant
+                    .spend(e.epsilon, e.delta, e.label.as_str())?;
+            }
         }
         self.dp.restore(ck.dp_pending as usize, ck.dp_exhausted);
         Ok(())
@@ -331,12 +330,15 @@ mod tests {
         assert_eq!(ck.shard, 2);
         assert_eq!(ck.decisions, 333);
         // 333 decisions at dp_interval 50 → 6 releases recorded
-        assert_eq!(ck.ledger.len(), 6);
+        assert_eq!(ck.ledger.iter().map(LedgerEntry::releases).sum::<u64>(), 6);
         assert_eq!(ck.dp_pending, 33);
 
         let mut restored = ShardGuards::new(&cfg, 7).unwrap();
         restored.restore(&ck).unwrap();
-        assert!((restored.epsilon_spent() - g.epsilon_spent()).abs() < 1e-12);
+        assert_eq!(
+            restored.epsilon_spent().to_bits(),
+            g.epsilon_spent().to_bits()
+        );
         // the restored window carries the same counts forward: a second
         // checkpoint from the restored guards matches the original
         let ck2 = restored.checkpoint(2, 333, 25).unwrap();

@@ -19,10 +19,12 @@
 //!   back when under, while per-tenant token quotas shed a flooding
 //!   tenant with [`ServeError::Throttled`] before it can starve anyone
 //!   else (see [`admission`]).
-//! * **Micro-batching** — workers drain their queue into batches (up to
-//!   `batch_max`, lingering `batch_linger` for stragglers) so one
-//!   matrix-level [`Classifier::predict_proba`] call amortizes model
-//!   overhead across requests.
+//! * **Micro-batching** — workers drain what is queued into batches (up
+//!   to `batch_max`) so one matrix-level [`Classifier::predict_proba`]
+//!   call amortizes model overhead across requests. The wait for
+//!   stragglers scales with the previous batch: a backlogged shard (full
+//!   batch) waits the whole `batch_linger`, while a lone request waits
+//!   one slot's share of it (`batch_linger / batch_max`).
 //! * **Feature sources** — each micro-batch's feature matrix is assembled
 //!   by a [`FeatureSource`] (one `fetch_batch` call per batch, ahead of the
 //!   model): [`InlineFeatures`] by default, or a remote store —
@@ -235,6 +237,29 @@ mod tests {
             model.batches.load(Ordering::Relaxed) < k as u64,
             "expected micro-batches, got one call per request"
         );
+    }
+
+    #[test]
+    fn lone_requests_do_not_wait_out_the_linger() {
+        // A linger far past the caller's deadline: only a shard that waits
+        // just a lone batch's share of it (10 s / 64 = 156 ms) answers in
+        // time.
+        let service = DecisionService::start(
+            Arc::new(StubModel::instant()),
+            ServeConfig {
+                shards: 1,
+                batch_max: 64,
+                batch_linger: Duration::from_secs(10),
+                ..base_config()
+            },
+        )
+        .unwrap();
+        for i in 0..5 {
+            let h = service.submit(request(0.75, i)).unwrap();
+            let d = h.wait(Duration::from_secs(2)).unwrap();
+            assert_eq!(d.probability, 0.75);
+        }
+        assert_eq!(service.shutdown().decisions_served, 5);
     }
 
     #[test]

@@ -165,7 +165,11 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Largest micro-batch a worker will assemble.
     pub batch_max: usize,
-    /// How long a worker waits to top off a partial batch.
+    /// Longest a worker waits for stragglers to top off a partial batch.
+    /// The whole wait is spent only after a full batch (`batch_max` jobs),
+    /// the sign of a backlog; after a batch of `k` jobs a worker waits
+    /// `k / batch_max` of it, so a lone request waits one slot's share
+    /// (12.5 µs of the default 200 µs, plus the OS timer slack).
     pub batch_linger: Duration,
     /// Default caller deadline for [`DecisionService::decide`].
     pub default_timeout: Duration,
@@ -609,7 +613,7 @@ pub struct ReshardReport {
     /// Lifetime decision counts summed over the post-transform sidecars;
     /// equals [`pre_decisions`](Self::pre_decisions).
     pub post_decisions: u64,
-    /// ε-ledger entries redistributed across the successors.
+    /// ε-ledger releases redistributed across the successors.
     pub ledger_entries: u64,
     /// Submits that parked at the gate during this cutover and were
     /// replayed into the new topology (tail past the hold window is
@@ -1542,6 +1546,20 @@ impl ShardWorker {
         // decision count until which the degrade policy stays engaged
         let mut degraded_until: u64 = 0;
         let mut batch: Vec<Job> = Vec::with_capacity(self.batch_max);
+        // Reused across batches: the feature rows are moved out of the jobs,
+        // so a batch costs no per-row allocation or copy.
+        let mut keys: Vec<u64> = Vec::with_capacity(self.batch_max);
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(self.batch_max);
+        // Size of the previous batch: the shard's estimate of how densely
+        // requests arrive. Waiting for stragglers buys a fuller batch only
+        // when they are dense (Nagle's rule, RFC 896), so the wait scales
+        // with it, up to the whole linger after a full batch. A lone
+        // request still waits one slot's share: with no wait at all, a
+        // closed loop of callers turns CPU-bound on thread hand-offs and
+        // its rate swings with host contention (EXPERIMENTS "Serving
+        // latency: batch linger in proportion to the backlog").
+        let mut last_batch: u32 = 0;
+        let batch_max = u32::try_from(self.batch_max).unwrap_or(u32::MAX).max(1);
 
         loop {
             // Block for the first job; a disconnect here means the queue is
@@ -1551,13 +1569,17 @@ impl ShardWorker {
                 Err(_) => break,
             }
             // Top off the batch: greedily take what is buffered, then wait
-            // out the linger for stragglers.
-            let deadline = Instant::now() + self.batch_linger;
+            // for stragglers for the previous batch's share of the linger.
+            // While the shard is busy its queue grows on its own, so the
+            // next greedy take still batches.
+            let linger = self.batch_linger / batch_max * last_batch.min(batch_max);
+            let deadline = (!linger.is_zero()).then(|| Instant::now() + linger);
             while batch.len() < self.batch_max {
                 match self.rx.try_recv() {
                     Ok(job) => batch.push(job),
                     Err(TryRecvError::Disconnected) => break,
                     Err(TryRecvError::Empty) => {
+                        let Some(deadline) = deadline else { break };
                         let now = Instant::now();
                         if now >= deadline {
                             break;
@@ -1569,6 +1591,7 @@ impl ShardWorker {
                     }
                 }
             }
+            last_batch = u32::try_from(batch.len()).unwrap_or(u32::MAX);
 
             let m = self.metrics.shard(self.shard);
             for _ in 0..batch.len() {
@@ -1582,8 +1605,10 @@ impl ShardWorker {
             // One batched feature fetch per micro-batch, then one
             // matrix-level model call: both the round trip and the model
             // overhead are amortized across the whole batch.
-            let keys: Vec<u64> = batch.iter().map(|j| j.route_key).collect();
-            let rows: Vec<Vec<f64>> = batch.iter().map(|j| j.features.clone()).collect();
+            keys.clear();
+            keys.extend(batch.iter().map(|j| j.route_key));
+            rows.clear();
+            rows.extend(batch.iter_mut().map(|j| std::mem::take(&mut j.features)));
             let probs = self
                 .source
                 .fetch_batch(&keys, &rows)
@@ -1822,7 +1847,7 @@ impl fact_net::ShardHandler for NetShardHandler {
                                 true,
                                 format!(
                                     "resharded {} -> {}: {} decisions drained, \
-                                     {} ledger entries redistributed, {} held submits replayed",
+                                     {} ledger releases redistributed, {} held submits replayed",
                                     r.from, r.to, r.drained, r.ledger_entries, r.held
                                 ),
                             ),

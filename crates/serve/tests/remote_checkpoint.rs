@@ -13,8 +13,8 @@ use fact_ml::Classifier;
 use fact_net::{Server, ShardHandler};
 use fact_serve::service::NetShardHandler;
 use fact_serve::{
-    load_checkpoint, CheckpointConfig, DecisionRequest, DecisionService, GuardConfig, ServeConfig,
-    ShardSlot,
+    load_checkpoint, CheckpointConfig, DecisionRequest, DecisionService, GuardCheckpoint,
+    GuardConfig, LedgerEntry, ServeConfig, ShardSlot,
 };
 
 /// Probability = first feature.
@@ -64,6 +64,11 @@ fn drive(service: &DecisionService, n: u64) {
     }
 }
 
+/// DP releases recorded in a sidecar's ledger (entries coalesce runs).
+fn releases(ck: &GuardCheckpoint) -> u64 {
+    ck.ledger.iter().map(|e| e.releases()).sum()
+}
+
 #[test]
 fn restart_resumes_fairness_window_and_epsilon_ledger() {
     let dir = temp_dir("resume");
@@ -80,7 +85,7 @@ fn restart_resumes_fairness_window_and_epsilon_ledger() {
 
     let ck = load_checkpoint(&dir, 0).unwrap().expect("final checkpoint");
     assert_eq!(ck.decisions, 1000);
-    assert_eq!(ck.ledger.len(), 10);
+    assert_eq!(releases(&ck), 10);
     // the window carries real counts (last 500 events, segment-summarized)
     assert_eq!(ck.window.total_events(), 500);
 
@@ -102,7 +107,45 @@ fn restart_resumes_fairness_window_and_epsilon_ledger() {
         ck2.decisions, 1250,
         "lifetime decision count survives restarts"
     );
-    assert!(ck2.ledger.len() > ck.ledger.len());
+    assert!(releases(&ck2) > releases(&ck));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sidecar_without_ledger_counts_restores_one_release_per_entry() {
+    let dir = temp_dir("old-ledger");
+    let service = DecisionService::start(Arc::new(StubModel), guarded_config(&dir)).unwrap();
+    drive(&service, 1000);
+    let spent = service.shutdown().epsilon_spent;
+
+    // Rewrite the sidecar as a pre-coalescing writer would have: one entry
+    // per release and no `count` field.
+    let mut ck = load_checkpoint(&dir, 0).unwrap().unwrap();
+    assert_eq!(ck.ledger.len(), 1, "one run of identical releases");
+    let entry = LedgerEntry {
+        count: None,
+        ..ck.ledger[0].clone()
+    };
+    ck.ledger = vec![entry; releases(&ck) as usize];
+    let json = serde_json::to_string(&ck)
+        .unwrap()
+        .replace(",\"count\":null", "");
+    assert!(!json.contains("\"count\""), "{json}");
+    std::fs::write(fact_serve::checkpoint_path(&dir, 0), json).unwrap();
+    let old = load_checkpoint(&dir, 0).unwrap().unwrap();
+    assert_eq!(old.ledger.len(), 10);
+    assert!(old
+        .ledger
+        .iter()
+        .all(|e| e.count.is_none() && e.releases() == 1));
+
+    let service = DecisionService::start(Arc::new(StubModel), guarded_config(&dir)).unwrap();
+    let report = service.shutdown();
+    assert_eq!(report.epsilon_spent.to_bits(), spent.to_bits());
+    // the next checkpoint is written coalesced, with the same releases
+    let ck2 = load_checkpoint(&dir, 0).unwrap().unwrap();
+    assert_eq!(ck2.ledger.len(), 1);
+    assert_eq!(releases(&ck2), 10);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -76,6 +76,7 @@ fn sidecar(shard: u64, decisions: u64, n_ledger: usize, eps_each: f64) -> GuardC
                 label: "dp-release".into(),
                 epsilon: eps_each,
                 delta: 0.0,
+                count: Some(1),
             })
             .collect(),
         budget_epsilon: 1.0,
@@ -95,7 +96,7 @@ fn transform_conserves_counts_ledger_and_decisions() {
     for shard in 0..4u64 {
         let ck = sidecar(shard, 100 + shard * 37, 3 + shard as usize, 0.01);
         pre_decisions += ck.decisions;
-        pre_ledger += ck.ledger.len() as u64;
+        pre_ledger += ck.ledger.iter().map(LedgerEntry::releases).sum::<u64>();
         write_checkpoint(&dir, &ck).unwrap();
     }
 
@@ -108,10 +109,11 @@ fn transform_conserves_counts_ledger_and_decisions() {
     assert!(load_checkpoint(&dir, 3).unwrap().is_none());
 
     // every surviving sidecar is loadable and the ledgers sum back
-    let total_ledger: usize = (0..3)
-        .map(|s| load_checkpoint(&dir, s).unwrap().unwrap().ledger.len())
+    let total_ledger: u64 = (0..3)
+        .flat_map(|s| load_checkpoint(&dir, s).unwrap().unwrap().ledger)
+        .map(|e| e.releases())
         .sum();
-    assert_eq!(total_ledger as u64, pre_ledger);
+    assert_eq!(total_ledger, pre_ledger);
 
     let grow = transform_checkpoints(&dir, 3, 8).unwrap();
     assert_eq!(grow.pre_counts, shrink.post_counts, "chained transforms");

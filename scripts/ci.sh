@@ -54,6 +54,11 @@
 #                             servebench/) still builds and its output
 #                             checks pass against the current fact-serve
 #                             API, built in .bench_build like servebench/run.sh
+#  16. servebench runs        each benchmark workload, traced, for 2 s with
+#                             BENCHMARK.json's --remote-rate/--slo-us:
+#                             exits 0 with "correct": true (bit-exact
+#                             probabilities, issued = served, a continuous
+#                             audit chain, stage coverage >= 0.9)
 #
 # Everything runs --offline: the workspace vendors its dependencies and
 # must build with no network.
@@ -128,5 +133,26 @@ echo "    all $(echo "$refs" | wc -l) §-references resolve"
 
 echo "==> servebench tests (the benchmark builds against this tree)"
 CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path servebench/Cargo.toml
+
+echo "==> servebench runs (every workload's output checks)"
+# Take the rate and latency limits from BENCHMARK.json's command, so the
+# gate runs what the benchmark runs.
+bench_arg() {
+    grep -A1 -F "\"$1\"" BENCHMARK.json | tail -n 1 | sed -E 's/^ *"//; s/",?$//'
+}
+rate=$(bench_arg --remote-rate)
+slo=$(bench_arg --slo-us)
+for workload in fair-closed flagged-pipelined remote-open; do
+    out=$(bash servebench/run.sh --workload "$workload" --seed 3 --seconds 2 --trace 1 \
+        --remote-rate "$rate" --slo-us "$slo" | tail -n 1) || {
+        echo "servebench: $workload exited non-zero: $out" >&2
+        exit 1
+    }
+    grep -q '"correct": true' <<< "$out" || {
+        echo "servebench: $workload failed its output checks: $out" >&2
+        exit 1
+    }
+    echo "    $workload: correct"
+done
 
 echo "==> ci.sh: all green"
