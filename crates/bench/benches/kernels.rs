@@ -3,7 +3,8 @@
 //! One group per experiment family (see DESIGN.md experiment index):
 //! fairness metrics & mitigation (E1/E2), multiple testing (E3), Simpson
 //! (E4), DP mechanisms (E5), Mondrian (E6), surrogate distillation (E7),
-//! causal estimators (E8), stream guards (E9).
+//! causal estimators (E8), stream guards (E9), and the durable audit
+//! writer's per-entry encode (E13).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -28,6 +29,7 @@ use fact_ml::logistic::{LogisticConfig, LogisticRegression};
 use fact_ml::tree::{DecisionTree, TreeConfig};
 use fact_ml::Classifier;
 use fact_stats::multiple::{benjamini_hochberg, holm};
+use fact_transparency::audit::ChainHead;
 use fact_transparency::surrogate::SurrogateExplainer;
 use rand::{Rng, SeedableRng};
 
@@ -113,6 +115,35 @@ fn bench_simpson(c: &mut Criterion) {
                     "department",
                 )
                 .unwrap()
+            })
+        });
+}
+
+fn bench_audit_line(c: &mut Criterion) {
+    // E13 kernel: the audit writer's per-batch work before append + fsync,
+    // chain-extending and encoding one 64-entry batch of flagged decisions
+    let events: Vec<(String, String)> = (0..64u64)
+        .map(|k| {
+            (
+                format!("shard-{}", k % 2),
+                format!(
+                    "key={} p={:.6} favorable=false group_b=true",
+                    1_000_003 * k,
+                    0.1 + k as f64 / 1000.0
+                ),
+            )
+        })
+        .collect();
+    let mut head = ChainHead::genesis();
+    let mut buf = Vec::with_capacity(64 * 300);
+    c.benchmark_group("e13_audit_writer")
+        .bench_function("audit_line_64", |b| {
+            b.iter(|| {
+                buf.clear();
+                for (actor, details) in &events {
+                    head.extend_json_line(actor, "flagged_decision", details, &mut buf);
+                }
+                black_box(buf.len())
             })
         });
 }
@@ -308,6 +339,7 @@ criterion_group!(
     bench_mitigation,
     bench_multiple_testing,
     bench_simpson,
+    bench_audit_line,
     bench_dp_mechanisms,
     bench_kanon,
     bench_surrogate,

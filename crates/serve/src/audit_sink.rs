@@ -10,9 +10,13 @@
 //!   `flush_interval` of quiet) and each batch becomes one storage append
 //!   followed by one fsync — so a crash can tear at most the last batch.
 //! * **Every entry extends the [`fact_transparency`] hash chain**: the
-//!   writer carries a [`ChainHead`] and serializes chained
-//!   [`AuditEntry`]s as JSONL, one line per entry. The file itself *is*
-//!   the chain; any edit, deletion, or reorder is detectable offline with
+//!   writer carries a [`ChainHead`] and encodes each chained entry
+//!   straight into one reused batch buffer as a JSONL line
+//!   ([`ChainHead::extend_json_line`]): no per-entry [`AuditEntry`], string
+//!   copies or `serde` value tree, and the bytes are exactly
+//!   `serde_json::to_string` of the entry (`tests/audit_golden.rs` pins
+//!   them against fixtures). The file itself *is* the chain; any edit,
+//!   deletion, or reorder is detectable offline with
 //!   [`verify_chain_from`](fact_transparency::audit::verify_chain_from).
 //! * **The chain head is persisted** after every synced batch (a small
 //!   sidecar the storage keeps next to the log). It is advisory: losing it
@@ -1441,6 +1445,7 @@ impl AuditSink {
             shared: Arc::clone(&shared),
             recovery: recovery.clone(),
             poisoned: false,
+            line_buf: Vec::new(),
         };
         let writer = std::thread::Builder::new()
             .name("fact-audit-sink".into())
@@ -1557,6 +1562,9 @@ struct Writer {
     shared: Arc<SinkShared>,
     recovery: RecoveryReport,
     poisoned: bool,
+    /// The batch's encoded lines; kept across flushes so its capacity is
+    /// allocated once.
+    line_buf: Vec<u8>,
 }
 
 impl Writer {
@@ -1639,7 +1647,13 @@ impl Writer {
         let events: Vec<(String, String, String)> =
             batch.drain(..).map(AuditEvent::into_parts).collect();
         let mut head = self.head;
-        let mut buf = build_lines(&mut head, self.needs_handoff, self.active_segment, &events);
+        build_lines(
+            &mut self.line_buf,
+            &mut head,
+            self.needs_handoff,
+            self.active_segment,
+            &events,
+        );
         let mut handoff_written = self.needs_handoff;
         // Pre-append roll: this batch would overflow the segment, so it
         // goes into a fresh one instead. A freshly opened segment
@@ -1648,7 +1662,7 @@ impl Writer {
         // overshoot at exactly one batch.
         if !self.needs_handoff
             && self.active_bytes > 0
-            && self.active_bytes + buf.len() as u64 > self.max_segment_bytes
+            && self.active_bytes + self.line_buf.len() as u64 > self.max_segment_bytes
         {
             match self.storage.open_segment(self.active_segment + 1) {
                 Ok(()) => {
@@ -1662,7 +1676,13 @@ impl Writer {
                     // re-serialize: the new segment opens with a handoff
                     // and every entry's digest chains past it
                     head = self.head;
-                    buf = build_lines(&mut head, true, self.active_segment, &events);
+                    build_lines(
+                        &mut self.line_buf,
+                        &mut head,
+                        true,
+                        self.active_segment,
+                        &events,
+                    );
                     handoff_written = true;
                 }
                 Err(_) => {
@@ -1674,12 +1694,12 @@ impl Writer {
         }
         let written = self
             .storage
-            .append_log(&buf)
+            .append_log(&self.line_buf)
             .and_then(|()| self.storage.sync_log());
         match written {
             Ok(()) => {
                 self.head = head;
-                self.active_bytes += buf.len() as u64;
+                self.active_bytes += self.line_buf.len() as u64;
                 if handoff_written {
                     self.needs_handoff = false;
                 }
@@ -1700,34 +1720,30 @@ impl Writer {
     }
 }
 
-/// Serialize `events` as chained JSONL, optionally preceded by a handoff
-/// record for `segment`, advancing `head` past everything serialized.
+/// Encode `events` as chained JSONL into `buf` (replacing its contents),
+/// optionally preceded by a handoff record for `segment`, advancing `head`
+/// past everything encoded.
 fn build_lines(
+    buf: &mut Vec<u8>,
     head: &mut ChainHead,
     with_handoff: bool,
     segment: u64,
     events: &[(String, String, String)],
-) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(events.len() * 128 + 192);
+) {
+    buf.clear();
+    buf.reserve(events.len() * LINE_BYTES_HINT + LINE_BYTES_HINT);
     if with_handoff {
-        let claim = *head;
-        let entry = head.extend(
-            "fact-serve",
-            SEGMENT_HANDOFF_ACTION,
-            claim.handoff_details(segment),
-        );
-        let line = serde_json::to_string(&entry).expect("audit entry serializes");
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
+        let details = head.handoff_details(segment);
+        head.extend_json_line("fact-serve", SEGMENT_HANDOFF_ACTION, &details, buf);
     }
     for (actor, action, details) in events {
-        let entry = head.extend(actor.clone(), action.clone(), details.clone());
-        let line = serde_json::to_string(&entry).expect("audit entry serializes");
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
+        head.extend_json_line(actor, action, details, buf);
     }
-    buf
 }
+
+/// Bytes reserved per line when sizing a batch buffer: a v2 flagged
+/// decision encodes to about 277 B.
+const LINE_BYTES_HINT: usize = 300;
 
 /// Parse a recovered JSONL log back into entries (verification helper for
 /// tests and offline audit tooling). Stops at the first unparseable line.

@@ -25,6 +25,7 @@
 //! of different widths are never equal.
 
 use std::fmt;
+use std::io::Write;
 
 use serde::{Deserialize, Serialize};
 
@@ -82,30 +83,74 @@ impl Digest {
         }
     }
 
-    /// Lowercase hex, width-length: 16 chars for v1, 64 for v2.
+    /// Lowercase hex, width-length: 16 chars for v1, 64 for v2 (the
+    /// big-endian digits of the v1 number, the bytes in order for v2).
+    /// Always lowercase and zero-padded: this is the one spelling
+    /// [`from_hex`](Self::from_hex) accepts.
     pub fn to_hex(&self) -> String {
-        match self {
-            Digest::V1(v) => format!("{v:016x}"),
-            Digest::V2(b) => b.iter().map(|x| format!("{x:02x}")).collect(),
+        let mut out = Vec::with_capacity(64);
+        self.push_hex(&mut out);
+        String::from_utf8(out).expect("hex digits are ASCII")
+    }
+
+    /// Append [`to_hex`](Self::to_hex)'s digits to `out`.
+    fn push_hex(&self, out: &mut Vec<u8>) {
+        let v1;
+        let bytes: &[u8] = match self {
+            Digest::V1(v) => {
+                v1 = v.to_be_bytes();
+                &v1
+            }
+            Digest::V2(b) => b,
+        };
+        for &b in bytes {
+            out.push(HEX_DIGITS[usize::from(b >> 4)]);
+            out.push(HEX_DIGITS[usize::from(b & 0xf)]);
         }
     }
 
     /// Parse hex produced by [`to_hex`](Self::to_hex); the string length
-    /// (16 vs 64) selects the width. Anything else is `None`.
+    /// (16 vs 64) selects the width. Only that canonical spelling parses:
+    /// exactly 16 or 64 lowercase `[0-9a-f]` digits, no sign, no uppercase.
+    /// Anything else is `None`, so one digest has exactly one stored form
+    /// and a log's bytes cannot be respelled without failing to parse.
     pub fn from_hex(s: &str) -> Option<Digest> {
-        match s.len() {
-            16 => u64::from_str_radix(s, 16).ok().map(Digest::V1),
-            64 => {
-                let mut out = [0u8; 32];
-                for (i, byte) in out.iter_mut().enumerate() {
-                    *byte = u8::from_str_radix(s.get(2 * i..2 * i + 2)?, 16).ok()?;
+        fn decode<const N: usize>(hex: &[u8]) -> Option<[u8; N]> {
+            let mut out = [0u8; N];
+            for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+                let (hi, lo) = (
+                    HEX_VALUES[usize::from(pair[0])],
+                    HEX_VALUES[usize::from(pair[1])],
+                );
+                if (hi | lo) & 0xf0 != 0 {
+                    return None;
                 }
-                Some(Digest::V2(out))
+                *byte = hi << 4 | lo;
             }
+            Some(out)
+        }
+        match s.len() {
+            16 => decode::<8>(s.as_bytes()).map(|b| Digest::V1(u64::from_be_bytes(b))),
+            64 => decode::<32>(s.as_bytes()).map(Digest::V2),
             _ => None,
         }
     }
 }
+
+/// Lowercase hex digit for each nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Nibble value of each byte that is a lowercase hex digit; `0xff` (which
+/// fails the high-nibble check in `from_hex`) for every other byte.
+const HEX_VALUES: [u8; 256] = {
+    let mut t = [0xffu8; 256];
+    let mut i = 0;
+    while i < 16 {
+        t[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
 
 impl fmt::Display for Digest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -154,6 +199,92 @@ pub struct AuditEntry {
     pub prev_hash: Digest,
     /// Digest of this entry (same width as `prev_hash`).
     pub hash: Digest,
+}
+
+impl AuditEntry {
+    /// Append this entry's JSONL line to `out`: exactly
+    /// `serde_json::to_string(self)` followed by `\n`, encoded directly
+    /// rather than through the intermediate `serde::Value` tree. Fields
+    /// come in declaration order; strings are escaped the way the vendored
+    /// `serde_json` escapes them (`"`, `\`, `\n`, `\r`, `\t` as short
+    /// escapes, other characters below U+0020 as lowercase `\u00XX`,
+    /// everything else raw UTF-8); a v1 digest is a bare decimal number, a
+    /// v2 digest its quoted 64-digit lowercase hex.
+    pub fn write_json_line(&self, out: &mut Vec<u8>) {
+        write_entry_line(
+            self.seq,
+            [&self.actor, &self.action, &self.details],
+            self.prev_hash,
+            self.hash,
+            out,
+        );
+    }
+}
+
+/// The JSONL encoding behind [`AuditEntry::write_json_line`], over
+/// borrowed fields.
+fn write_entry_line(seq: u64, text: [&str; 3], prev: Digest, hash: Digest, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"seq\":");
+    push_decimal(seq, out);
+    for (key, value) in [&b",\"actor\":"[..], b",\"action\":", b",\"details\":"]
+        .into_iter()
+        .zip(text)
+    {
+        out.extend_from_slice(key);
+        push_json_string(value, out);
+    }
+    out.extend_from_slice(b",\"prev_hash\":");
+    push_json_digest(prev, out);
+    out.extend_from_slice(b",\"hash\":");
+    push_json_digest(hash, out);
+    out.extend_from_slice(b"}\n");
+}
+
+fn push_decimal(v: u64, out: &mut Vec<u8>) {
+    write!(out, "{v}").expect("writing to a Vec cannot fail");
+}
+
+fn push_json_string(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    // bytes of multi-byte UTF-8 sequences are all >= 0x80, so escaping
+    // byte by byte escapes exactly the characters serde_json escapes
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX_DIGITS[usize::from(b >> 4)],
+                HEX_DIGITS[usize::from(b & 0xf)],
+            ]),
+        }
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
+}
+
+fn push_json_digest(d: Digest, out: &mut Vec<u8>) {
+    match d {
+        Digest::V1(v) => push_decimal(v, out),
+        Digest::V2(_) => {
+            out.push(b'"');
+            d.push_hex(out);
+            out.push(b'"');
+        }
+    }
 }
 
 /// An append-only, hash-chained audit log.
@@ -251,6 +382,29 @@ impl ChainHead {
         self.next_seq += 1;
         self.hash = hash;
         entry
+    }
+
+    /// Append the next chained entry's JSONL line to `out` and advance the
+    /// head past it: the bytes [`extend`](Self::extend) followed by
+    /// [`AuditEntry::write_json_line`] produce, without allocating the
+    /// entry. This is the durable audit writer's per-entry path.
+    pub fn extend_json_line(
+        &mut self,
+        actor: &str,
+        action: &str,
+        details: &str,
+        out: &mut Vec<u8>,
+    ) {
+        let hash = entry_hash(self.next_seq, actor, action, details, self.hash);
+        write_entry_line(
+            self.next_seq,
+            [actor, action, details],
+            self.hash,
+            hash,
+            out,
+        );
+        self.next_seq += 1;
+        self.hash = hash;
     }
 
     /// Whether `entry` correctly extends this head: right sequence number,
@@ -807,6 +961,66 @@ mod tests {
         assert_ne!(Digest::zero(), Digest::zero_v1());
     }
 
+    #[test]
+    fn from_hex_accepts_only_the_canonical_lowercase_spelling() {
+        let d1 = Digest::V1(0xab01_2345_6789_cdef);
+        let d2 = Digest::V2(core::array::from_fn(|i| 0xa0 | i as u8));
+        for d in [d1, d2] {
+            let hex = d.to_hex();
+            assert_eq!(Digest::from_hex(&hex), Some(d));
+            // a leading '+' in place of the first digit keeps the width
+            // but is not the digest's spelling
+            let plus = format!("+{}", &hex[1..]);
+            assert_eq!(Digest::from_hex(&plus), None, "{plus}");
+            assert_eq!(Digest::from_hex(&hex.to_uppercase()), None);
+            let mut one_upper = hex.clone().into_bytes();
+            one_upper[0] = b'A';
+            assert_eq!(
+                Digest::from_hex(std::str::from_utf8(&one_upper).unwrap()),
+                None
+            );
+        }
+        // a stored digest respelled in the log no longer parses, so the
+        // respelled line cannot pass as the same entry
+        let mut head = ChainHead::genesis();
+        let e = head.extend("w", "a", "x");
+        let line = serde_json::to_string(&e).unwrap();
+        let hex = e.hash.to_hex();
+        for respelled in [hex.to_uppercase(), format!("+{}", &hex[1..])] {
+            let forged = line.replace(&hex, &respelled);
+            assert!(
+                serde_json::from_str::<AuditEntry>(&forged).is_err(),
+                "{forged}"
+            );
+        }
+        // non-ASCII of the right byte length never panics or parses
+        assert_eq!(Digest::from_hex(&"é".repeat(8)), None);
+        assert_eq!(Digest::from_hex(&format!("{}é", "0".repeat(62))), None);
+    }
+
+    #[test]
+    fn json_line_matches_serde_for_both_widths_and_every_escape() {
+        let details = "q=\" bs=\\ nl=\n cr=\r tab=\t nul=\u{0} us=\u{1f} del=\u{7f} é → 🚩";
+        for mut head in [ChainHead::genesis(), ChainHead::genesis_v1()] {
+            for _ in 0..3 {
+                let mut fast = Vec::new();
+                let mut twin = head;
+                twin.extend_json_line("shard-0", "guard_alert", details, &mut fast);
+                let e = head.extend("shard-0", "guard_alert", details);
+                assert_eq!(twin, head);
+                let mut line = serde_json::to_string(&e).unwrap().into_bytes();
+                line.push(b'\n');
+                assert_eq!(
+                    String::from_utf8(fast.clone()).unwrap(),
+                    String::from_utf8(line).unwrap()
+                );
+                let mut via_entry = Vec::new();
+                e.write_json_line(&mut via_entry);
+                assert_eq!(via_entry, fast);
+            }
+        }
+    }
+
     // ----- property tests: tamper detection over random logs and ops -----
 
     use proptest::prelude::*;
@@ -819,8 +1033,65 @@ mod tests {
         log
     }
 
+    /// Arbitrary Unicode text that is dense in what JSON escapes: every
+    /// control character, quotes and backslashes, plus any scalar value.
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u8..4, any::<u32>()), 0..24).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(kind, raw)| match kind {
+                    0 => char::from_u32(raw % 0x20).expect("control char"),
+                    1 => ['"', '\\', '\u{7f}', '/'][raw as usize % 4],
+                    2 => char::from_u32(raw % 0x11_0000).unwrap_or('\u{fffd}'),
+                    _ => char::from_u32(0x20 + raw % 0x5f).expect("printable ASCII"),
+                })
+                .collect()
+        })
+    }
+
+    fn digest(v2: bool, words: [u64; 4]) -> Digest {
+        if v2 {
+            let mut b = [0u8; 32];
+            for (chunk, w) in b.chunks_exact_mut(8).zip(words) {
+                chunk.copy_from_slice(&w.to_le_bytes());
+            }
+            Digest::V2(b)
+        } else {
+            Digest::V1(words[0])
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The direct encoder is byte-identical to `serde_json::to_string`
+        /// plus a newline for any text and either digest width, the line
+        /// parses back to the same entry, and the allocation-free chain
+        /// extension writes the same bytes as `extend` + encode.
+        #[test]
+        fn json_line_is_serde_json_to_string_plus_newline(
+            actor in text(),
+            action in text(),
+            details in text(),
+            seq in any::<u64>(),
+            v2 in any::<bool>(),
+            words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let (a, b, c, d) = words;
+            let mut head = ChainHead { next_seq: seq, hash: digest(v2, [a, b, c, d]) };
+            let mut fast = Vec::new();
+            let mut twin = head;
+            twin.extend_json_line(&actor, &action, &details, &mut fast);
+            let entry = head.extend(actor, action, details);
+            prop_assert_eq!(twin, head);
+            let mut via_entry = Vec::new();
+            entry.write_json_line(&mut via_entry);
+            prop_assert_eq!(&via_entry, &fast);
+            let expected = serde_json::to_string(&entry).unwrap() + "\n";
+            prop_assert_eq!(String::from_utf8(fast).unwrap(), expected.clone());
+            let back: AuditEntry = serde_json::from_str(expected.trim_end_matches('\n')).unwrap();
+            prop_assert_eq!(back, entry);
+        }
 
         /// The public API is append-only: no sequence of appends can
         /// produce a log that fails verification, and the head always
